@@ -887,7 +887,7 @@ impl RunningRouter {
 fn run_on(mut server: Server, cfg: RouteConfig) -> io::Result<()> {
     server.set_workers(cfg.workers);
     server.set_priority_cells(cfg.priority_cells);
-    let stop = server.stop_handle()?;
+    let stop = server.stop_handle();
     let router = Router::new(&cfg, stop, server.lane_metrics())?;
     server.run(|req| router.handle(req))
 }
@@ -896,7 +896,7 @@ fn run_on(mut server: Server, cfg: RouteConfig) -> io::Result<()> {
 pub fn start(cfg: RouteConfig) -> io::Result<RunningRouter> {
     let server = Server::bind(&cfg.addr)?;
     let addr = server.local_addr()?;
-    let stop = server.stop_handle()?;
+    let stop = server.stop_handle();
     let thread = std::thread::Builder::new()
         .name("sim-router-acceptor".into())
         .spawn(move || run_on(server, cfg))?;

@@ -350,7 +350,7 @@ struct Engine {
     /// Benchmark names in suite order (identical for both scales).
     bench_names: Vec<String>,
     stop: StopHandle,
-    cache_path: Option<PathBuf>,
+    cache_file: Arc<CacheFile>,
     tracer: Tracer,
     started: Instant,
     /// The HTTP server's per-lane dispatch counters, shared so the
@@ -362,9 +362,22 @@ struct Engine {
     priority_cells: usize,
 }
 
-fn persist(cache: &Cache, path: &Option<PathBuf>) {
-    if let Some(p) = path {
-        if let Err(e) = crate::artifact::atomic_write(p, &cache.snapshot()) {
+/// The `--cache` persistence file. A persist snapshots the cache under
+/// its lock but writes the file after releasing it, so cache hits never
+/// wait on file I/O (the dispatcher persists after every batch at idle
+/// CPU priority); `writing` orders concurrent persists so they neither
+/// interleave in the staging file nor land older-snapshot-last.
+struct CacheFile {
+    path: Option<PathBuf>,
+    writing: Mutex<()>,
+}
+
+impl CacheFile {
+    fn persist(&self, cache: &Mutex<Cache>) {
+        let Some(p) = &self.path else { return };
+        let _writing = self.writing.lock().unwrap_or_else(|e| e.into_inner());
+        let snapshot = cache.lock().unwrap_or_else(|e| e.into_inner()).snapshot();
+        if let Err(e) = crate::artifact::atomic_write(p, &snapshot) {
             log::progress(&format!(
                 "warning: cache persist to {} failed: {e}",
                 p.display()
@@ -436,10 +449,14 @@ impl Engine {
             }
         }
         let cache = Arc::new(Mutex::new(cache));
+        let cache_file = Arc::new(CacheFile {
+            path: cfg.cache_path.clone(),
+            writing: Mutex::new(()),
+        });
 
         let scheduler = {
             let cache = cache.clone();
-            let cache_path = cfg.cache_path.clone();
+            let cache_file = cache_file.clone();
             Scheduler::start(cfg.queue_cap, move || {
                 // Built on the dispatcher thread: benchmark suites are
                 // `Sync` but deliberately not `Send`.
@@ -447,11 +464,13 @@ impl Engine {
                 let paper = hpc_kernels::suite();
                 move |batch: &[CellSpec]| {
                     let payloads = eval_batch(&test, &paper, batch);
-                    let mut c = cache.lock().unwrap_or_else(|e| e.into_inner());
-                    for (spec, payload) in batch.iter().zip(&payloads) {
-                        c.insert(spec.clone(), payload.clone());
+                    {
+                        let mut c = cache.lock().unwrap_or_else(|e| e.into_inner());
+                        for (spec, payload) in batch.iter().zip(&payloads) {
+                            c.insert(spec.clone(), payload.clone());
+                        }
                     }
-                    persist(&c, &cache_path);
+                    cache_file.persist(&cache);
                     payloads
                 }
             })
@@ -463,7 +482,7 @@ impl Engine {
             metrics: Mutex::new(Metrics::default()),
             bench_names,
             stop,
-            cache_path: cfg.cache_path.clone(),
+            cache_file,
             tracer,
             started: Instant::now(),
             lanes,
@@ -489,10 +508,7 @@ impl Engine {
             ("POST", "/v1/sweep") => self.traced(req, id, t0, Self::sweep),
             ("POST", "/v1/cells") => self.traced(req, id, t0, Self::cells),
             ("POST", "/v1/shutdown") => {
-                persist(
-                    &self.cache.lock().unwrap_or_else(|e| e.into_inner()),
-                    &self.cache_path,
-                );
+                self.cache_file.persist(&self.cache);
                 self.stop.stop();
                 Response::text(200, "shutting down\n")
             }
@@ -893,14 +909,11 @@ fn run_on(mut server: Server, cfg: ServeConfig) -> io::Result<()> {
     }
     server.set_workers(cfg.workers);
     server.set_priority_cells(cfg.priority_cells);
-    let stop = server.stop_handle()?;
+    let stop = server.stop_handle();
     let engine = Engine::new(&cfg, stop, server.lane_metrics())?;
     server.run(|req| engine.handle(req))?;
     // Dropping the engine shuts the scheduler down (drains, then joins).
-    persist(
-        &engine.cache.lock().unwrap_or_else(|e| e.into_inner()),
-        &engine.cache_path,
-    );
+    engine.cache_file.persist(&engine.cache);
     Ok(())
 }
 
@@ -908,7 +921,7 @@ fn run_on(mut server: Server, cfg: ServeConfig) -> io::Result<()> {
 pub fn start(cfg: ServeConfig) -> io::Result<RunningServer> {
     let server = Server::bind(&cfg.addr)?;
     let addr = server.local_addr()?;
-    let stop = server.stop_handle()?;
+    let stop = server.stop_handle();
     let thread = std::thread::Builder::new()
         .name("sim-server-acceptor".into())
         .spawn(move || run_on(server, cfg))?;

@@ -1,13 +1,14 @@
 //! Minimal HTTP/1.1 plumbing over `std::net` — enough protocol for a
 //! localhost experiment service, and nothing more.
 //!
-//! Server side: [`Server::bind`] + [`Server::run`], a std-only
-//! non-blocking event loop. One reactor thread owns every socket: it
-//! accepts from a non-blocking listener and advances per-connection
-//! state machines (reading-head → reading-body → handling → writing,
-//! see [`ConnState`]) as bytes become available, so a slowloris peer
-//! trickling one byte per tick costs an idle state machine instead of a
-//! wedged thread, and one process can hold thousands of open
+//! Server side: [`Server::bind`] + [`Server::run`], a non-blocking
+//! event loop. One reactor thread owns every socket: it blocks in
+//! `poll(2)` on the listener, every connection it owes I/O and a wake
+//! pipe, and advances per-connection state machines (reading-head →
+//! reading-body → handling → writing, see [`ConnState`]) only when their
+//! socket is ready, so a slowloris peer trickling one byte at a time
+//! costs an idle state machine instead of a wedged thread, an idle
+//! server never wakes, and one process can hold thousands of open
 //! connections. Complete requests are handed to a fixed pool of
 //! `--workers` handler threads through a two-lane priority queue:
 //! interactive traffic (cell lookups, probes, small sweeps — see
@@ -30,8 +31,11 @@ use crate::panic_message;
 use crate::scheduler::Lane;
 use sim_faults::{FaultPlan, FaultSite};
 use std::collections::VecDeque;
+use std::ffi::{c_int, c_short, c_ulong};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::os::unix::io::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -58,8 +62,6 @@ pub const DEFAULT_PROBE_TIMEOUT_MS: u64 = 10_000;
 /// closed (connections parked in a handler are exempt — the scheduler's
 /// wait deadline covers those).
 pub const DEFAULT_IO_TIMEOUT_MS: u64 = 30_000;
-/// Timeout for the stop handle's wake-up poke to the acceptor.
-const STOP_POKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 // ---- event-loop tuning ----
 
@@ -71,12 +73,45 @@ pub const DEFAULT_PRIORITY_CELLS: usize = 8;
 /// A bulk request that has waited this many dispatch rounds (one round =
 /// one job handed to a worker) is promoted past the interactive lane.
 pub const LANE_AGING_ROUNDS: u64 = 8;
-/// Reactor idle sleep cap: with no readable socket the poll loop backs
-/// off to at most this long per tick.
-const IDLE_TICK_CAP: Duration = Duration::from_millis(1);
-/// Cap on the per-connection read-poll backoff exponent: an idle reader
-/// is polled at most every `2^REACTOR_BACKOFF_MAX` ticks.
-const REACTOR_BACKOFF_MAX: u32 = 6;
+
+// ---- poll(2) shim: std has no readiness wait, but links libc's ----
+
+#[repr(C)]
+struct PollFd {
+    fd: c_int,
+    events: c_short,
+    revents: c_short,
+}
+
+const POLLIN: c_short = 0x1;
+const POLLOUT: c_short = 0x4;
+
+extern "C" {
+    fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
+}
+
+/// Block until an entry of `fds` is ready or `timeout` (rounded up to
+/// whole ms; `None` = forever) passes. A signal interrupts the wait with
+/// every `revents` left zero: a spurious wake.
+fn poll_fds(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<()> {
+    let ms = timeout.map_or(-1, |t| {
+        c_int::try_from(t.as_micros().div_ceil(1000)).unwrap_or(c_int::MAX)
+    });
+    // SAFETY: `fds` is an exclusively borrowed slice of `repr(C)` pollfd
+    // structs, and `nfds` is its length, so the kernel writes only into it.
+    let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, ms) };
+    let err = io::Error::last_os_error();
+    if rc < 0 && err.kind() != io::ErrorKind::Interrupted {
+        return Err(err);
+    }
+    Ok(())
+}
+
+/// Nudge the reactor out of `poll`. A full pipe already holds a wake-up,
+/// so a failed write loses nothing.
+fn wake(tx: &UnixStream) {
+    let _ = (&*tx).write(&[1]);
+}
 
 /// One parsed request.
 #[derive(Debug)]
@@ -258,12 +293,6 @@ fn encode_response(resp: &Response) -> Vec<u8> {
     out
 }
 
-/// Serialize and send one response over a blocking stream.
-pub fn write_response(stream: &mut TcpStream, resp: &Response) -> io::Result<()> {
-    stream.write_all(&encode_response(resp))?;
-    stream.flush()
-}
-
 // ---- priority lanes ----
 
 /// Classify a request into a dispatch [`Lane`]. Only the sweep endpoints
@@ -424,6 +453,7 @@ struct Dispatch {
 fn worker_loop<H>(
     dispatch: &Dispatch,
     completions: &Mutex<Vec<(usize, Response)>>,
+    wake_tx: &UnixStream,
     lanes: &LaneMetrics,
     handler: &H,
 ) where
@@ -466,6 +496,7 @@ fn worker_loop<H>(
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .push((job.token, resp));
+        wake(wake_tx);
     }
 }
 
@@ -501,10 +532,6 @@ struct Conn {
     state: ConnState,
     /// Last byte progress on this socket — the idle deadline clock.
     last_activity: Instant,
-    /// Read-poll backoff exponent (consecutive empty polls).
-    backoff: u32,
-    /// Ticks left before this connection is polled again.
-    skip: u32,
 }
 
 /// Outcome of advancing one connection by one poll.
@@ -660,27 +687,25 @@ fn step_writing(conn: &mut Conn) -> IoStep {
 #[derive(Clone)]
 pub struct StopHandle {
     stop: Arc<AtomicBool>,
-    addr: SocketAddr,
+    wake_tx: Arc<UnixStream>,
 }
 
 impl StopHandle {
-    /// Request shutdown. Idempotent; pokes the reactor awake.
+    /// Request shutdown. Idempotent; wakes the reactor.
     pub fn stop(&self) {
         self.stop.store(true, Ordering::SeqCst);
-        // The reactor notices the flag within one idle tick; the
-        // throwaway connection just shortens the wait.
-        let _ = TcpStream::connect_timeout(&self.addr, STOP_POKE_TIMEOUT);
-    }
-
-    pub fn is_stopped(&self) -> bool {
-        self.stop.load(Ordering::SeqCst)
+        wake(&self.wake_tx);
     }
 }
 
-/// A bound listener plus its stop flag and event-loop tuning.
+/// A bound listener plus its stop flag, wake pipe and event-loop tuning.
 pub struct Server {
     listener: TcpListener,
     stop: Arc<AtomicBool>,
+    /// Wake pipe: workers (after posting a completion) and the stop
+    /// handle write to `wake_tx`; the reactor polls `wake_rx`.
+    wake_rx: UnixStream,
+    wake_tx: Arc<UnixStream>,
     io_timeout: Duration,
     workers: usize,
     priority_cells: usize,
@@ -691,9 +716,14 @@ impl Server {
     /// Bind (use port 0 for an ephemeral port; read it back with
     /// [`local_addr`](Self::local_addr)).
     pub fn bind(addr: &str) -> io::Result<Server> {
+        let (wake_rx, wake_tx) = UnixStream::pair()?;
+        wake_rx.set_nonblocking(true)?;
+        wake_tx.set_nonblocking(true)?;
         Ok(Server {
             listener: TcpListener::bind(addr)?,
             stop: Arc::new(AtomicBool::new(false)),
+            wake_rx,
+            wake_tx: Arc::new(wake_tx),
             io_timeout: Duration::from_millis(DEFAULT_IO_TIMEOUT_MS),
             workers: DEFAULT_WORKERS,
             priority_cells: DEFAULT_PRIORITY_CELLS,
@@ -727,15 +757,15 @@ impl Server {
         self.listener.local_addr()
     }
 
-    pub fn stop_handle(&self) -> io::Result<StopHandle> {
-        Ok(StopHandle {
+    pub fn stop_handle(&self) -> StopHandle {
+        StopHandle {
             stop: self.stop.clone(),
-            addr: self.local_addr()?,
-        })
+            wake_tx: self.wake_tx.clone(),
+        }
     }
 
     /// Run the event loop until the stop handle fires: a reactor thread
-    /// polls every socket and a fixed pool of worker threads runs the
+    /// waits on every socket and a fixed pool of worker threads runs the
     /// handler (scoped, so the handler may borrow the engine). Handler
     /// panics become 500s; oversized requests get 413, malformed ones
     /// 400; connection I/O errors are logged and dropped (the peer is
@@ -756,20 +786,26 @@ impl Server {
         std::thread::scope(|scope| {
             for _ in 0..self.workers.max(1) {
                 let lanes = &*self.lanes;
-                scope.spawn(move || worker_loop(dispatch, completions, lanes, handler));
+                let wake_tx = &*self.wake_tx;
+                scope.spawn(move || worker_loop(dispatch, completions, wake_tx, lanes, handler));
             }
-            self.reactor(dispatch, completions);
-            // Reactor exited ⇒ every dispatched request has completed;
-            // release the (now idle) workers.
+            let result = self.reactor(dispatch, completions);
+            // Reactor exited ⇒ every dispatched request has completed (or
+            // `poll` failed); release the workers.
             dispatch.st.lock().unwrap_or_else(|e| e.into_inner()).stop = true;
             dispatch.cv.notify_all();
-        });
-        Ok(())
+            result
+        })
     }
 
-    /// The readiness-polling loop. Owns all connection state; never
-    /// blocks on any one socket.
-    fn reactor(&self, dispatch: &Dispatch, completions: &Mutex<Vec<(usize, Response)>>) {
+    /// The event loop. Owns all connection state; sleeps in `poll` until a
+    /// socket it owes I/O is ready, the wake pipe fires (completion or
+    /// stop) or the nearest idle deadline passes, then steps just those.
+    fn reactor(
+        &self,
+        dispatch: &Dispatch,
+        completions: &Mutex<Vec<(usize, Response)>>,
+    ) -> io::Result<()> {
         let mut conns: Vec<Option<Conn>> = Vec::new();
         let mut free: Vec<usize> = Vec::new();
         // Connections currently owned by a worker; their tokens stay
@@ -777,13 +813,54 @@ impl Server {
         // never misdeliver a completion.
         let mut handling: usize = 0;
         let mut draining = false;
-        let mut idle_ticks: u32 = 0;
+        // Poll set: wake pipe, listener, then one entry per connection in
+        // Reading/Writing; `polled[k]` is the slab token of entry `k + 2`.
+        let mut fds: Vec<PollFd> = Vec::new();
+        let mut polled: Vec<usize> = Vec::new();
+        let entry = |fd: &dyn AsRawFd, events| PollFd {
+            fd: fd.as_raw_fd(),
+            events,
+            revents: 0,
+        };
         loop {
-            let mut progress = false;
+            fds.clear();
+            polled.clear();
+            fds.push(entry(&self.wake_rx, POLLIN));
+            fds.push(entry(&self.listener, if draining { 0 } else { POLLIN }));
+            let mut timeout: Option<Duration> = None;
+            let now = Instant::now();
+            for (i, slot) in conns.iter_mut().enumerate() {
+                let Some(conn) = slot else { continue };
+                let events = match conn.state {
+                    ConnState::Reading { .. } => POLLIN,
+                    ConnState::Writing { .. } => POLLOUT,
+                    ConnState::Handling => continue,
+                };
+                // Idle deadline: sockets we owe I/O on (not worker-owned).
+                let left = self
+                    .io_timeout
+                    .saturating_sub(now.duration_since(conn.last_activity));
+                if left.is_zero() {
+                    *slot = None;
+                    free.push(i);
+                    continue;
+                }
+                fds.push(entry(&conn.stream, events));
+                polled.push(i);
+                timeout = Some(timeout.map_or(left, |t| t.min(left)));
+            }
+            if draining && handling == 0 && polled.is_empty() {
+                return Ok(());
+            }
+            poll_fds(&mut fds, timeout)?;
+            let now = Instant::now();
+            if fds[0].revents != 0 {
+                let mut sink = [0u8; 64];
+                while matches!((&self.wake_rx).read(&mut sink), Ok(n) if n > 0) {}
+            }
 
             if !draining && self.stop.load(Ordering::SeqCst) {
                 draining = true;
-                progress = true;
                 // Connections without a complete request yet are dropped;
                 // ones being handled or written drain below.
                 for (i, slot) in conns.iter_mut().enumerate() {
@@ -797,109 +874,35 @@ impl Server {
                 }
             }
 
-            if !draining {
-                loop {
-                    match self.listener.accept() {
-                        Ok((stream, _)) => {
-                            if stream.set_nonblocking(true).is_err() {
-                                continue;
-                            }
-                            progress = true;
-                            let conn = Conn {
-                                stream,
-                                state: ConnState::Reading {
-                                    buf: Vec::new(),
-                                    head: None,
-                                },
-                                last_activity: Instant::now(),
-                                backoff: 0,
-                                skip: 0,
-                            };
-                            match free.pop() {
-                                Some(i) => conns[i] = Some(conn),
-                                None => conns.push(Some(conn)),
-                            }
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                        Err(e) => {
-                            telemetry::log::debug(&format!("accept error: {e}"));
-                            break;
-                        }
-                    }
-                }
-            }
-
             let done = {
                 let mut c = completions.lock().unwrap_or_else(|e| e.into_inner());
                 std::mem::take(&mut *c)
             };
             for (token, resp) in done {
-                progress = true;
                 handling = handling.saturating_sub(1);
                 if let Some(conn) = conns.get_mut(token).and_then(Option::as_mut) {
                     conn.state = ConnState::Writing {
                         buf: encode_response(&resp),
                         off: 0,
                     };
-                    conn.last_activity = Instant::now();
-                    conn.backoff = 0;
-                    conn.skip = 0;
+                    conn.last_activity = now;
                 }
             }
 
-            let now = Instant::now();
-            for (i, slot) in conns.iter_mut().enumerate() {
-                let Some(conn) = slot.as_mut() else {
+            for (&i, fd) in polled.iter().zip(&fds[2..]) {
+                let Some(conn) = conns[i].as_mut().filter(|_| fd.revents != 0) else {
                     continue;
                 };
-                let step = match &conn.state {
-                    ConnState::Handling => None,
-                    ConnState::Reading { .. } if conn.skip > 0 => {
-                        conn.skip -= 1;
-                        None
-                    }
-                    ConnState::Reading { .. } => Some(step_reading(conn)),
-                    ConnState::Writing { .. } => Some(step_writing(conn)),
+                let step = match conn.state {
+                    ConnState::Reading { .. } => step_reading(conn),
+                    ConnState::Writing { .. } => step_writing(conn),
+                    ConnState::Handling => continue,
                 };
                 match step {
-                    None => {
-                        // Not polled this tick (worker-owned, or backing
-                        // off); the idle deadline still applies to
-                        // sockets we owe I/O on.
-                        let waiting_on_io = !matches!(conn.state, ConnState::Handling);
-                        if waiting_on_io && now.duration_since(conn.last_activity) > self.io_timeout
-                        {
-                            *slot = None;
-                            free.push(i);
-                            progress = true;
-                        }
-                    }
-                    Some(IoStep::Idle) => {
-                        if now.duration_since(conn.last_activity) > self.io_timeout {
-                            *slot = None;
-                            free.push(i);
-                            progress = true;
-                        } else if matches!(conn.state, ConnState::Reading { .. }) {
-                            // Idle readers are polled exponentially less
-                            // often (up to every 2^max ticks) so a
-                            // thousand parked connections cost the
-                            // reactor near-zero time per tick.
-                            conn.backoff = (conn.backoff + 1).min(REACTOR_BACKOFF_MAX);
-                            conn.skip = (1u32 << conn.backoff) - 1;
-                        }
-                    }
-                    Some(IoStep::Progress) => {
-                        progress = true;
+                    IoStep::Idle => {}
+                    IoStep::Progress => conn.last_activity = now,
+                    IoStep::Dispatch(req) => {
                         conn.last_activity = now;
-                        conn.backoff = 0;
-                        conn.skip = 0;
-                    }
-                    Some(IoStep::Dispatch(req)) => {
-                        progress = true;
-                        conn.last_activity = now;
-                        conn.backoff = 0;
-                        conn.skip = 0;
                         conn.state = ConnState::Handling;
                         handling += 1;
                         let lane = classify_lane(&req, self.priority_cells);
@@ -916,26 +919,41 @@ impl Server {
                         }
                         dispatch.cv.notify_one();
                     }
-                    Some(IoStep::Close) => {
-                        progress = true;
-                        *slot = None;
+                    IoStep::Close => {
+                        conns[i] = None;
                         free.push(i);
                     }
                 }
             }
 
-            if draining && handling == 0 && conns.iter().all(Option::is_none) {
-                return;
-            }
-
-            if progress {
-                idle_ticks = 0;
-            } else {
-                idle_ticks = idle_ticks.saturating_add(1);
-                let sleep = Duration::from_micros(50)
-                    .saturating_mul(idle_ticks)
-                    .min(IDLE_TICK_CAP);
-                std::thread::sleep(sleep);
+            if !draining && fds[1].revents != 0 {
+                loop {
+                    match self.listener.accept() {
+                        Ok((stream, _)) => {
+                            if stream.set_nonblocking(true).is_err() {
+                                continue;
+                            }
+                            let conn = Conn {
+                                stream,
+                                state: ConnState::Reading {
+                                    buf: Vec::new(),
+                                    head: None,
+                                },
+                                last_activity: now,
+                            };
+                            match free.pop() {
+                                Some(i) => conns[i] = Some(conn),
+                                None => conns.push(Some(conn)),
+                            }
+                        }
+                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                        Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                        Err(e) => {
+                            telemetry::log::debug(&format!("accept error: {e}"));
+                            break;
+                        }
+                    }
+                }
             }
         }
     }
@@ -1128,7 +1146,7 @@ mod tests {
     fn loopback_round_trip() {
         let server = Server::bind("127.0.0.1:0").unwrap();
         let addr = server.local_addr().unwrap().to_string();
-        let stop = server.stop_handle().unwrap();
+        let stop = server.stop_handle();
         let t = std::thread::spawn(move || {
             server.run(|req| match (req.method.as_str(), req.path.as_str()) {
                 ("GET", "/healthz") => Response::text(200, "ok\n"),
@@ -1162,7 +1180,7 @@ mod tests {
     fn request_with_sends_extra_headers() {
         let server = Server::bind("127.0.0.1:0").unwrap();
         let addr = server.local_addr().unwrap().to_string();
-        let stop = server.stop_handle().unwrap();
+        let stop = server.stop_handle();
         let t = std::thread::spawn(move || {
             server.run(|req| {
                 let id = req.header("X-Sim-Trace-Id").unwrap_or("absent");
@@ -1194,7 +1212,7 @@ mod tests {
     fn handler_panic_answers_500_and_server_survives() {
         let server = Server::bind("127.0.0.1:0").unwrap();
         let addr = server.local_addr().unwrap().to_string();
-        let stop = server.stop_handle().unwrap();
+        let stop = server.stop_handle();
         let t = std::thread::spawn(move || {
             server.run(|req| match req.path.as_str() {
                 "/boom" => panic!("handler exploded"),
@@ -1224,7 +1242,7 @@ mod tests {
     fn oversized_requests_get_413_and_malformed_get_400() {
         let server = Server::bind("127.0.0.1:0").unwrap();
         let addr = server.local_addr().unwrap();
-        let stop = server.stop_handle().unwrap();
+        let stop = server.stop_handle();
         let t = std::thread::spawn(move || server.run(|_| Response::text(200, "ok\n")));
 
         let raw = |payload: &[u8]| -> (u16, String) {
@@ -1280,7 +1298,7 @@ mod tests {
     fn conflicting_content_length_is_rejected_server_side() {
         let server = Server::bind("127.0.0.1:0").unwrap();
         let addr = server.local_addr().unwrap();
-        let stop = server.stop_handle().unwrap();
+        let stop = server.stop_handle();
         let t = std::thread::spawn(move || server.run(|req| Response::text(200, req.body.clone())));
 
         let raw = |payload: &[u8]| -> (u16, String) {
@@ -1339,7 +1357,7 @@ mod tests {
     fn request_full_exposes_response_headers() {
         let server = Server::bind("127.0.0.1:0").unwrap();
         let addr = server.local_addr().unwrap().to_string();
-        let stop = server.stop_handle().unwrap();
+        let stop = server.stop_handle();
         let t = std::thread::spawn(move || {
             server.run(|_| Response::text(429, "busy\n").with_header("Retry-After", "3"))
         });
@@ -1408,7 +1426,7 @@ mod tests {
     fn injected_corruption_is_tagged_and_stall_is_recorded() {
         let server = Server::bind("127.0.0.1:0").unwrap();
         let addr = server.local_addr().unwrap().to_string();
-        let stop = server.stop_handle().unwrap();
+        let stop = server.stop_handle();
         let t = std::thread::spawn(move || server.run(|_| Response::text(200, "hello world\n")));
 
         let run = |rates: sim_faults::FaultRates| {
@@ -1476,7 +1494,7 @@ mod tests {
     fn concurrent_connections_are_served() {
         let server = Server::bind("127.0.0.1:0").unwrap();
         let addr = server.local_addr().unwrap().to_string();
-        let stop = server.stop_handle().unwrap();
+        let stop = server.stop_handle();
         let t = std::thread::spawn(move || {
             server.run(|req| Response::text(200, format!("len={}\n", req.body.len())))
         });
@@ -1504,7 +1522,7 @@ mod tests {
     fn slowloris_does_not_stall_other_requests() {
         let server = Server::bind("127.0.0.1:0").unwrap();
         let addr = server.local_addr().unwrap().to_string();
-        let stop = server.stop_handle().unwrap();
+        let stop = server.stop_handle();
         let t = std::thread::spawn(move || server.run(|_| Response::text(200, "ok\n")));
 
         let slow_addr = addr.clone();
@@ -1544,7 +1562,7 @@ mod tests {
     fn idle_open_connections_do_not_block_service() {
         let server = Server::bind("127.0.0.1:0").unwrap();
         let addr = server.local_addr().unwrap().to_string();
-        let stop = server.stop_handle().unwrap();
+        let stop = server.stop_handle();
         let t = std::thread::spawn(move || server.run(|_| Response::text(200, "ok\n")));
 
         let idle: Vec<TcpStream> = (0..200)
@@ -1564,6 +1582,98 @@ mod tests {
 
         stop.stop();
         t.join().unwrap().unwrap();
+    }
+
+    /// The stop handle wakes the reactor through its pipe: a server
+    /// with no connections stops at once, and no throwaway TCP connection
+    /// is left in the listener's accept queue.
+    #[test]
+    fn stop_wakes_the_reactor_without_a_tcp_poke() {
+        let server = Server::bind("127.0.0.1:0").unwrap();
+        let stop = server.stop_handle();
+        let started = Instant::now();
+        let t = std::thread::spawn(move || {
+            server.run(|_| Response::text(200, "ok\n")).unwrap();
+            server
+        });
+        stop.stop();
+        let server = t.join().unwrap();
+        assert!(
+            started.elapsed() < Duration::from_secs(2),
+            "stop took {:?}",
+            started.elapsed()
+        );
+        let pending = server.listener.accept();
+        assert!(
+            matches!(&pending, Err(e) if e.kind() == io::ErrorKind::WouldBlock),
+            "stop must not connect to the listener: {pending:?}"
+        );
+    }
+
+    /// A request sent on a connection that sat idle is answered as soon
+    /// as it arrives: readiness, not a backed-off poll, wakes the reactor.
+    #[test]
+    fn late_request_on_idle_connection_is_answered_promptly() {
+        let server = Server::bind("127.0.0.1:0").unwrap();
+        let addr = server.local_addr().unwrap();
+        let stop = server.stop_handle();
+        let t = std::thread::spawn(move || server.run(|_| Response::text(200, "ok\n")));
+        for _ in 0..3 {
+            let mut s = TcpStream::connect(addr).unwrap();
+            s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            std::thread::sleep(Duration::from_millis(200));
+            let sent = Instant::now();
+            s.write_all(b"GET / HTTP/1.1\r\n\r\n").unwrap();
+            let mut out = Vec::new();
+            s.read_to_end(&mut out).unwrap();
+            assert!(out.starts_with(b"HTTP/1.1 200"), "{out:?}");
+            assert!(
+                sent.elapsed() < Duration::from_millis(20),
+                "late request answered after {:?}",
+                sent.elapsed()
+            );
+        }
+        stop.stop();
+        t.join().unwrap().unwrap();
+    }
+
+    /// Handlers stay at normal CPU priority in a process whose scheduler
+    /// evaluates at `SCHED_IDLE`, so request I/O preempts evaluation.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn handlers_keep_normal_priority_beside_idle_evaluation() {
+        use crate::key::CellSpec;
+        use crate::scheduler::{current_sched_policy, Scheduler};
+        let sched = Scheduler::start(8, || {
+            |specs: &[CellSpec]| vec![current_sched_policy().to_string(); specs.len()]
+        });
+        let server = Server::bind("127.0.0.1:0").unwrap();
+        let addr = server.local_addr().unwrap().to_string();
+        let stop = server.stop_handle();
+        std::thread::scope(|s| {
+            let t = s.spawn(|| {
+                server.run(|_| {
+                    let spec = CellSpec {
+                        sim_version: "0".into(),
+                        device: "dev".into(),
+                        scale: "test".into(),
+                        bench: "prio".into(),
+                        version: "Serial".into(),
+                        precision: 32,
+                        fault_seed: None,
+                        passes: None,
+                        params: vec![],
+                    };
+                    let slots = sched.admit(&[spec], Lane::Interactive).unwrap();
+                    let eval = slots[0].wait().unwrap();
+                    Response::text(200, format!("{}/{eval}", current_sched_policy()))
+                })
+            });
+            let (st, body) = request(&addr, "GET", "/", b"", Duration::from_secs(5)).unwrap();
+            assert_eq!((st, body.as_slice()), (200, b"0/5".as_slice()));
+            stop.stop();
+            t.join().unwrap().unwrap();
+        });
     }
 
     fn lane_req(method: &str, path: &str, body: &[u8]) -> Request {
@@ -1661,7 +1771,7 @@ mod tests {
         server.set_workers(1);
         server.set_priority_cells(2);
         let addr = server.local_addr().unwrap().to_string();
-        let stop = server.stop_handle().unwrap();
+        let stop = server.stop_handle();
         let lanes = server.lane_metrics();
 
         let order: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));

@@ -25,6 +25,12 @@
 //! [`BULK_AGING_ROUNDS`] consecutive batches is merged into the next one
 //! (a *promotion*), so bulk work is delayed, never starved. Lanes move
 //! only *when* a cell is evaluated; its bytes are lane-independent.
+//!
+//! CPU priority: the dispatcher thread — and so every `sim-pool` worker
+//! it forks, which inherits the policy — runs under Linux `SCHED_IDLE`.
+//! Request I/O (the HTTP reactor and handlers) stays at normal priority
+//! and preempts cell evaluation the moment it wakes, which carries the
+//! interactive-before-bulk promise down to the CPU.
 
 use crate::key::{CellKey, CellSpec};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -256,7 +262,7 @@ pub struct Scheduler {
 }
 
 impl Scheduler {
-    /// Start the dispatcher.
+    /// Start the dispatcher (at idle CPU priority, see the module docs).
     ///
     /// `make_eval` runs once *on the dispatcher thread* and returns the
     /// batch evaluation function — this indirection lets the owner build
@@ -276,7 +282,10 @@ impl Scheduler {
             let shared = shared.clone();
             std::thread::Builder::new()
                 .name("sim-server-dispatcher".into())
-                .spawn(move || dispatcher_loop(&shared, make_eval))
+                .spawn(move || {
+                    lower_to_idle_priority();
+                    dispatcher_loop(&shared, make_eval)
+                })
                 .expect("spawn dispatcher")
         };
         Scheduler {
@@ -381,6 +390,32 @@ impl Drop for Scheduler {
     fn drop(&mut self) {
         self.shutdown();
     }
+}
+
+/// Put the calling thread (and threads it spawns later) under
+/// `SCHED_IDLE`, once: an unprivileged thread can never raise itself back,
+/// so there is no toggling. Failure (seccomp, a non-Linux host) costs
+/// only the preemption guarantee, so it is logged and ignored.
+fn lower_to_idle_priority() {
+    #[cfg(target_os = "linux")]
+    {
+        use std::ffi::c_int;
+        extern "C" {
+            fn sched_setscheduler(pid: c_int, policy: c_int, param: *const c_int) -> c_int;
+        }
+        const SCHED_IDLE: c_int = 5;
+        // `struct sched_param` is one int, which must be 0 for SCHED_IDLE.
+        let param: c_int = 0;
+        // SAFETY: pid 0 names the calling thread and `param` points to a
+        // live `struct sched_param` for the duration of the call.
+        if unsafe { sched_setscheduler(0, SCHED_IDLE, &param) } == 0 {
+            return;
+        }
+    }
+    telemetry::log::debug(&format!(
+        "dispatcher stays at normal CPU priority: SCHED_IDLE unavailable ({})",
+        std::io::Error::last_os_error()
+    ));
 }
 
 /// Last-resort poison guard: if the dispatcher thread unwinds past the
@@ -537,11 +572,43 @@ where
     }
 }
 
+/// The calling thread's scheduling policy (`SCHED_OTHER` = 0,
+/// `SCHED_IDLE` = 5), for tests that pin who runs at which priority.
+#[cfg(all(test, target_os = "linux"))]
+pub(crate) fn current_sched_policy() -> i32 {
+    extern "C" {
+        fn sched_getscheduler(pid: std::ffi::c_int) -> std::ffi::c_int;
+    }
+    // SAFETY: a plain query of the calling thread (pid 0); no pointers.
+    unsafe { sched_getscheduler(0) }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::time::Duration;
+
+    /// Evaluation runs under `SCHED_IDLE`, and threads it forks (as
+    /// `sim-pool` does per batch) inherit the policy.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn evaluation_runs_at_idle_priority() {
+        let sched = Scheduler::start(64, || {
+            |specs: &[CellSpec]| {
+                let forked = std::thread::spawn(current_sched_policy).join().unwrap();
+                let own = current_sched_policy();
+                specs.iter().map(|_| format!("{own}/{forked}")).collect()
+            }
+        });
+        let slots = sched.admit(&[spec("prio")], Lane::Interactive).unwrap();
+        assert_eq!(slots[0].wait().unwrap(), "5/5", "SCHED_IDLE is policy 5");
+        assert_eq!(
+            current_sched_policy(),
+            0,
+            "the admitting thread is untouched"
+        );
+    }
 
     fn spec(bench: &str) -> CellSpec {
         CellSpec {

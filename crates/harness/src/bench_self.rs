@@ -158,12 +158,8 @@ impl SelfBench {
 
 /// One timed suite pass at a fixed engine, worker count and optimizer
 /// pipeline; returns wall-clock plus the byte-comparable exports. The
-/// pipeline rides in `SuiteConfig::passes` (installed per cell on the
-/// executing worker) rather than a `with_passes` wrap around the suite
-/// call — a thread-local override on this thread would be invisible to
-/// the pool workers the suite fans cells out to. An empty pipeline is
-/// pinned for unoptimized passes so an ambient `SIM_PASSES` cannot skew
-/// the baseline rows.
+/// pipeline rides in `SuiteConfig::passes`, which scopes every cell on
+/// the worker that runs it.
 fn timed_pass(
     benches: &[Box<dyn Benchmark>],
     engine: Engine,
@@ -173,7 +169,7 @@ fn timed_pass(
     kernel_ir::set_engine(engine);
     sim_pool::set_threads(threads);
     let cfg = SuiteConfig {
-        passes: Some(passes.cloned().unwrap_or_default()),
+        passes: passes.cloned(),
         ..SuiteConfig::default()
     };
     let t0 = Instant::now();

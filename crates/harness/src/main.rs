@@ -62,7 +62,8 @@ flags:
   --threads <n>       simulation worker threads (or SIM_THREADS env)
   --fault-seed <n>    enable deterministic fault injection with this seed
                       (or FAULT_SEED env); same seed => byte-identical
-                      artifacts at any thread count
+                      artifacts at any thread count, and the same rows as
+                      serving the sweep with 'submit --fault-seed <n>'
   --state <path>      checkpoint file for suite runs (default suite.state
                       when --resume is given; otherwise no checkpointing
                       unless --state is passed)
@@ -77,11 +78,13 @@ flags:
                       exit 2 unless every pipeline produced byte-identical
                       kernel outputs
   --passes <list>     run kernels through this optimizer pass pipeline
-                      (comma-separated, e.g. cf,cse,dce, or 'full'; same
-                      names as the SIM_PASSES env var); for suite/figure
-                      runs it pins the sweep's pipeline (part of the
-                      checkpoint identity), for submit it is forwarded
-                      with the sweep and folded into every cell key
+                      (comma-separated, e.g. cf,cse,dce, or 'full'; or
+                      SIM_PASSES env; default: unoptimized); for
+                      suite/figure runs it pins the sweep's pipeline (part
+                      of the checkpoint identity), for submit it is
+                      forwarded with the sweep and folded into every cell
+                      key; serve and route ignore it (a served cell's
+                      pipeline is the one its request names)
   --quiet | --verbose log verbosity
   --help              this text
 
@@ -369,6 +372,10 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
             }
         }
     }
+    if let (None, Ok(s)) = (&o.passes, std::env::var("SIM_PASSES")) {
+        let pl = kernel_ir::opt::Pipeline::parse(&s).map_err(|e| format!("SIM_PASSES: {e}"))?;
+        o.passes = Some(pl).filter(|p| !p.is_empty());
+    }
     Ok(o)
 }
 
@@ -411,6 +418,66 @@ fn report_outcome(results: &harness::SuiteResults, faulty: bool) -> i32 {
     1
 }
 
+/// Commands that launch kernels directly rather than through the suite
+/// runner. `None` when `cmd` is a suite command.
+fn run_standalone(cmd: &str, o: &Opts) -> Option<i32> {
+    let code = match cmd {
+        "profile" => {
+            let Some(name) = o.cmds.get(1) else {
+                eprintln!("usage: harness profile <bench> [--test-scale]");
+                return Some(2);
+            };
+            let benches = if o.test_scale {
+                hpc_kernels::test_suite()
+            } else {
+                hpc_kernels::suite()
+            };
+            let Some(b) = benches.iter().find(|b| b.name() == *name) else {
+                let names: Vec<&str> = benches.iter().map(|b| b.name()).collect();
+                eprintln!("unknown benchmark '{name}' (have: {})", names.join(", "));
+                return Some(2);
+            };
+            print!("{}", harness::profile::report(b.as_ref()));
+            0
+        }
+        "bench-self" => {
+            log::progress("self-benchmark: warm-up pass, then serial and parallel suite runs...");
+            let b = harness::bench_self::run(o.test_scale);
+            let path = std::path::Path::new("BENCH_sim.json");
+            if let Err(e) = harness::atomic_write(path, b.to_json().as_bytes()) {
+                eprintln!("failed to write {}: {e}", path.display());
+                return Some(1);
+            }
+            print!("{}", b.summary());
+            println!("wrote {}", path.display());
+            if o.check && !b.outputs_identical {
+                eprintln!("bench-self --check: engine/thread passes produced different outputs");
+                return Some(2);
+            }
+            0
+        }
+        "ablation" => {
+            print!("{}", harness::ablation::report(o.test_scale));
+            0
+        }
+        "dvfs" => {
+            print!("{}", harness::dvfs::report());
+            0
+        }
+        "hetero" => {
+            print!("{}", harness::hetero::report());
+            0
+        }
+        "roofline" => {
+            print!("{}", harness::roofline::report(Precision::F32));
+            print!("\n{}", harness::roofline::report(Precision::F64));
+            0
+        }
+        _ => return None,
+    };
+    Some(code)
+}
+
 fn main() {
     std::process::exit(run());
 }
@@ -448,8 +515,24 @@ fn run() -> i32 {
         log::Level::Progress
     });
 
-    // The serving layer handles fault seeds per request — no ambient plan
-    // install here, so a served cell computes exactly what an offline
+    // Injected panics are expected events — in a seeded sweep here, or in
+    // a seeded request inside `serve` — so keep their reports out of
+    // stderr, but leave genuine panics loud.
+    let default_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let payload = info.payload();
+        let injected = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .is_some_and(sim_faults::is_injected);
+        if !injected {
+            default_hook(info);
+        }
+    }));
+
+    // The serving layer takes fault seeds and pass lists per request, from
+    // each cell's key, so a served cell computes exactly what an offline
     // `run_suite_with` of the same configuration computes.
     if cmd == "serve" {
         let cfg = harness::ServeConfig {
@@ -548,85 +631,16 @@ fn run() -> i32 {
         };
     }
 
-    // Deterministic chaos: install the plan process-wide (the worker-panic
-    // site and the meters read the ambient plan) and pass it to the runner
-    // for per-cell scoping. Injected panics are expected events — keep
-    // their reports out of stderr, but leave genuine panics loud.
     let fault_plan = o.fault_seed.map(sim_faults::FaultPlan::new);
-    sim_faults::install(fault_plan);
-    if fault_plan.is_some() {
-        log::progress(&format!(
-            "fault injection enabled (seed {})",
-            o.fault_seed.unwrap_or_default()
-        ));
-        let default_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let injected = info
-                .payload()
-                .downcast_ref::<String>()
-                .map(|s| sim_faults::is_injected(s))
-                .or_else(|| {
-                    info.payload()
-                        .downcast_ref::<&str>()
-                        .map(|s| sim_faults::is_injected(s))
-                })
-                .unwrap_or(false);
-            if !injected {
-                default_hook(info);
-            }
-        }));
+    if let Some(seed) = o.fault_seed {
+        log::progress(&format!("fault injection enabled (seed {seed})"));
     }
-
-    if cmd == "profile" {
-        let Some(name) = o.cmds.get(1) else {
-            eprintln!("usage: harness profile <bench> [--test-scale]");
-            return 2;
-        };
-        let benches = if o.test_scale {
-            hpc_kernels::test_suite()
-        } else {
-            hpc_kernels::suite()
-        };
-        let Some(b) = benches.iter().find(|b| b.name() == *name) else {
-            let names: Vec<&str> = benches.iter().map(|b| b.name()).collect();
-            eprintln!("unknown benchmark '{name}' (have: {})", names.join(", "));
-            return 2;
-        };
-        print!("{}", harness::profile::report(b.as_ref()));
-        return 0;
-    }
-    if cmd == "bench-self" {
-        log::progress("self-benchmark: warm-up pass, then serial and parallel suite runs...");
-        let b = harness::bench_self::run(o.test_scale);
-        let path = std::path::Path::new("BENCH_sim.json");
-        if let Err(e) = harness::atomic_write(path, b.to_json().as_bytes()) {
-            eprintln!("failed to write {}: {e}", path.display());
-            return 1;
-        }
-        print!("{}", b.summary());
-        println!("wrote {}", path.display());
-        if o.check && !b.outputs_identical {
-            eprintln!("bench-self --check: engine/thread passes produced different outputs");
-            return 2;
-        }
-        return 0;
-    }
-    if cmd == "ablation" {
-        print!("{}", harness::ablation::report(o.test_scale));
-        return 0;
-    }
-    if cmd == "dvfs" {
-        print!("{}", harness::dvfs::report());
-        return 0;
-    }
-    if cmd == "hetero" {
-        print!("{}", harness::hetero::report());
-        return 0;
-    }
-    if cmd == "roofline" {
-        print!("{}", harness::roofline::report(Precision::F32));
-        print!("\n{}", harness::roofline::report(Precision::F64));
-        return 0;
+    // Commands that launch kernels outside the suite runner take the plan
+    // and the pipeline ambiently, scoped here; suite cells take both from
+    // their `SuiteConfig` below.
+    kernel_ir::opt::set_passes(o.passes.clone());
+    if let Some(code) = sim_faults::with_plan(fault_plan, || run_standalone(cmd, &o)) {
+        return code;
     }
 
     let benches = if o.test_scale {

@@ -155,11 +155,10 @@ pub type CellCoord = (String, Variant, u8);
 pub struct SuiteConfig {
     /// Emit per-cell progress lines.
     pub verbose: bool,
-    /// Fault plan for chaos runs. `None` (the default) reproduces the
-    /// fault-free pipeline bit for bit. Note: worker-panic injection reads
-    /// the *installed* plan ([`sim_faults::install`]) because it fires on
-    /// pool threads before any cell scope exists — callers wanting that
-    /// site active must install the plan as well as passing it here.
+    /// Fault plan for chaos runs, the only source of a cell's faults
+    /// (worker deaths included). `None` (the default) reproduces the
+    /// fault-free pipeline bit for bit, whatever plan the caller's thread
+    /// has in scope.
     pub faults: Option<sim_faults::FaultPlan>,
     /// Attempts per cell before a transient fault becomes a [`CellError`].
     pub max_attempts: u32,
@@ -179,12 +178,11 @@ pub struct SuiteConfig {
     /// "test"); a resume against a checkpoint with a different tag,
     /// benchmark list or fault seed starts fresh.
     pub state_tag: String,
-    /// Optimizer pipeline applied to every kernel launched by the sweep.
-    /// `None` inherits the ambient setting (`SIM_PASSES` or a caller's
-    /// [`kernel_ir::opt::with_passes`] scope) — it does *not* force the
-    /// optimizer off. `Some` pins the pipeline for every cell, which is
-    /// what the autotuner and the serving layer use so a cell's passes
-    /// match its content-address key.
+    /// Optimizer pipeline applied to every kernel launched by the sweep;
+    /// `None` (the default) runs unoptimized. Authoritative: every cell is
+    /// scoped to exactly this pipeline, whatever the process-wide
+    /// [`kernel_ir::opt::set_passes`] selection, so a cell's passes always
+    /// match its checkpoint header and content-address key.
     pub passes: Option<kernel_ir::opt::Pipeline>,
 }
 
@@ -242,6 +240,10 @@ enum AttemptOutcome {
 }
 
 /// One isolated, retried cell.
+///
+/// A cell's bytes come only from `cfg` and its coordinates: the attempt
+/// runs under exactly `cfg.passes` and a plan derived from `cfg.faults`,
+/// never under whatever the calling thread has in scope.
 fn run_cell(
     b: &dyn Benchmark,
     bi: usize,
@@ -250,6 +252,22 @@ fn run_cell(
     model: &PowerModel,
     cfg: &SuiteConfig,
 ) -> CellEntry {
+    if let Some(plan) = cfg.faults {
+        // Worker deaths roll on the cell's position in the full grid —
+        // the task index of the offline sweep — so a served cell dies
+        // exactly when the same cell dies offline. The panic escapes to
+        // the caller's `try_parallel_map`, which records it as this
+        // task's failure.
+        let vi = Variant::ALL
+            .iter()
+            .position(|x| *x == v)
+            .expect("ALL lists every variant");
+        let pi = Precision::ALL
+            .iter()
+            .position(|x| *x == prec)
+            .expect("and every precision");
+        plan.maybe_kill_worker(((bi * Precision::ALL.len() + pi) * Variant::ALL.len() + vi) as u64);
+    }
     let scope = format!("{}/{}/{}", b.name(), v.label(), prec.label());
     let mut backoff_ms = 0u64;
     let max_attempts = cfg.max_attempts.max(1);
@@ -282,23 +300,15 @@ fn run_cell(
                 }
             }
         };
-        // A pinned pipeline scopes the whole attempt (`None` inherits the
-        // ambient `SIM_PASSES` setting rather than forcing the optimizer
-        // off — the scope is only pushed when the config pins one).
-        let body = || match &cfg.passes {
-            Some(pl) => kernel_ir::opt::with_passes(Some(pl.clone()), body),
-            None => body(),
-        };
         // Each attempt gets its own derived plan so a retry re-rolls every
         // fault site (otherwise a deterministic fault would refire forever
         // and "retry" would be a lie).
-        let out = match cfg.faults {
-            Some(plan) => {
-                let p = plan.derive(&format!("{scope}/a{}", attempt - 1));
-                sim_faults::with_plan(Some(p), body)
-            }
-            None => body(),
-        };
+        let plan = cfg
+            .faults
+            .map(|p| p.derive(&format!("{scope}/a{}", attempt - 1)));
+        let out = sim_faults::with_plan(plan, || {
+            kernel_ir::opt::with_passes(cfg.passes.clone(), body)
+        });
         match out {
             AttemptOutcome::Done(cell) => return CellEntry::Ok(cell),
             AttemptOutcome::Panicked(message) => {
@@ -357,8 +367,9 @@ fn run_cell(
 /// Run, retry and measure one isolated cell under the default power
 /// model — the serving layer's entry point (offline sweeps go through
 /// [`run_suite_with`]). `bench_index` must be the benchmark's index in
-/// the *full* suite: the measurement seed derives from it, and a served
-/// cell must meter identically to the same cell in an offline sweep.
+/// the *full* suite: the measurement seed and the worker-death roll
+/// derive from it, and a served cell must meter (and die) identically to
+/// the same cell in an offline sweep.
 pub fn run_one(
     b: &dyn Benchmark,
     bench_index: usize,
@@ -439,9 +450,6 @@ pub fn run_suite_with(benches: &[Box<dyn Benchmark>], cfg: &SuiteConfig) -> Suit
     let done: Mutex<HashMap<CellCoord, CellEntry>> = Mutex::new(preloaded.clone());
     let abort = AtomicBool::new(false);
 
-    // Every job is scheduled even when its cell is preloaded: keeping job
-    // indices stable keeps the worker-panic fault rolls (keyed by index)
-    // identical between the original and the resumed run.
     let raw = sim_pool::try_parallel_map(jobs.len(), |j| {
         let (bi, prec, v) = jobs[j];
         let key: CellCoord = (names[bi].clone(), v, prec_key(prec));

@@ -358,8 +358,6 @@ struct Engine {
     lanes: Arc<http::LaneMetrics>,
     /// Upper bound on one slot wait before the handler answers 503.
     wait_timeout: Duration,
-    /// Sweeps at most this large enter the scheduler's interactive lane.
-    priority_cells: usize,
 }
 
 /// The `--cache` persistence file. A persist snapshots the cache under
@@ -487,7 +485,6 @@ impl Engine {
             started: Instant::now(),
             lanes,
             wait_timeout: Duration::from_millis(cfg.timeout_ms.unwrap_or(http::DEFAULT_TIMEOUT_MS)),
-            priority_cells: cfg.priority_cells,
         })
     }
 
@@ -605,7 +602,8 @@ impl Engine {
     ///
     /// One cache lookup per distinct cell; misses are admitted while the
     /// cache lock is held, so a cell cannot complete (and be evicted)
-    /// between the check and the admit.
+    /// between the check and the admit. Misses queue in `lane`, the lane
+    /// the HTTP reactor already classified the request into.
     ///
     /// Fills `rep` with per-cell timings: one `lookup_us` sample per
     /// distinct cell, one `queue_us`/`eval_us` sample per cell actually
@@ -615,6 +613,7 @@ impl Engine {
     fn resolve(
         &self,
         cells: &[(CellSpec, Precision)],
+        lane: Lane,
         rep: &mut ResolveReport,
     ) -> Result<HashMap<CellKey, String>, Response> {
         let mut payloads: HashMap<CellKey, String> = HashMap::new();
@@ -643,14 +642,6 @@ impl Engine {
                 }
             }
             rep.lookup_total_us = us_since(lookup_started);
-            // Small sweeps ride the interactive lane so they are not
-            // queued behind a full-grid batch; the threshold mirrors the
-            // HTTP layer's request classification.
-            let lane = if cells.len() <= self.priority_cells {
-                Lane::Interactive
-            } else {
-                Lane::Bulk
-            };
             let admit_started = Instant::now();
             let admitted = self.scheduler.admit(&need, lane);
             rep.admit_us = us_since(admit_started);
@@ -788,13 +779,14 @@ impl Engine {
             Err(msg) => return self.bad(&msg),
         };
         rec.note("cells", cells.len());
+        rec.note("lane", req.lane.name());
         {
             let mut m = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
             m.sweeps += 1;
             m.cells_requested += cells.len() as u64;
         }
         let mut rep = ResolveReport::default();
-        let payloads = match self.resolve(&cells, &mut rep) {
+        let payloads = match self.resolve(&cells, req.lane, &mut rep) {
             Ok(p) => p,
             Err(resp) => {
                 self.record_stages(rec, parse_us, &rep, None, started);
@@ -857,13 +849,14 @@ impl Engine {
             Err(msg) => return self.bad(&msg),
         };
         rec.note("cells", cells.len());
+        rec.note("lane", req.lane.name());
         {
             let mut m = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
             m.sweeps += 1;
             m.cells_requested += cells.len() as u64;
         }
         let mut rep = ResolveReport::default();
-        let payloads = match self.resolve(&cells, &mut rep) {
+        let payloads = match self.resolve(&cells, req.lane, &mut rep) {
             Ok(p) => p,
             Err(resp) => {
                 self.record_stages(rec, parse_us, &rep, None, started);

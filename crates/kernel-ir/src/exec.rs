@@ -1560,7 +1560,7 @@ impl<'a, T: ExecTracer> GroupExecutor<'a, T> {
         if !ndrange.valid() {
             return Err(ExecError::InvalidNDRange(ndrange));
         }
-        // Ambient optimizer pipeline (SIM_PASSES / opt::with_passes), the
+        // Ambient optimizer pipeline (opt::set_passes / opt::with_passes), the
         // same hook for every engine and thread count so results stay
         // byte-identical across the execution matrix.
         let opt = crate::opt::ambient().map(|pl| pl.run(program));

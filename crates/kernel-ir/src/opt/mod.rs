@@ -18,11 +18,11 @@
 //! change the observable *memory-event stream* (dse, dce) are documented in
 //! DESIGN.md §17; none change results.
 //!
-//! Selection is ambient, mirroring `SIM_EXEC`: the `SIM_PASSES` environment
-//! variable (e.g. `SIM_PASSES=cf,cse,licm` or `SIM_PASSES=full`) resolves
-//! lazily, [`set_passes`] overrides it process-wide, and [`with_passes`]
-//! scopes an override to one closure (the serving layer runs each cell
-//! under the pass list baked into its cell key).
+//! Selection is ambient: [`set_passes`] picks a process-wide pipeline
+//! (off until someone sets one) and [`with_passes`] scopes an override to
+//! one closure. The library reads no environment variable for it; the
+//! harness suite runner scopes every cell to the pass list in its
+//! configuration, which is also the pass list in its cell key.
 
 pub(crate) mod passes;
 pub(crate) mod ssa;
@@ -54,7 +54,7 @@ pub enum Pass {
 }
 
 impl Pass {
-    /// Canonical full pipeline order, as run by `SIM_PASSES=full`.
+    /// Canonical full pipeline order, as run by `--passes full`.
     pub const ALL: [Pass; 7] = [
         Pass::ConstFold,
         Pass::Algebraic,
@@ -65,7 +65,7 @@ impl Pass {
         Pass::Dce,
     ];
 
-    /// Stable short name, as accepted by [`Pipeline::parse`] / `SIM_PASSES`.
+    /// Stable short name, as accepted by [`Pipeline::parse`].
     pub fn name(self) -> &'static str {
         match self {
             Pass::ConstFold => "cf",
@@ -259,9 +259,9 @@ pub fn take_stats() -> PassCounters {
     std::mem::take(&mut *STATS.lock().unwrap())
 }
 
-/// `None` = unresolved (read `SIM_PASSES` lazily); `Some(None)` = resolved
-/// to "no optimization"; `Some(Some(p))` = resolved to a pipeline.
-static GLOBAL: RwLock<Option<Option<Arc<Pipeline>>>> = RwLock::new(None);
+/// The process-wide pipeline set by [`set_passes`]; `None` = no
+/// optimization.
+static GLOBAL: RwLock<Option<Arc<Pipeline>>> = RwLock::new(None);
 
 thread_local! {
     /// Stack of scoped overrides installed by [`with_passes`].
@@ -269,43 +269,19 @@ thread_local! {
 }
 
 /// The pipeline ambient launches should apply, if any: the innermost
-/// [`with_passes`] scope on this thread, else the process-wide selection
-/// ([`set_passes`] or, resolved once, the `SIM_PASSES` environment
-/// variable). Panics on an unparsable `SIM_PASSES`, like `SIM_EXEC`.
+/// [`with_passes`] scope on this thread, else the process-wide
+/// [`set_passes`] selection.
 pub fn ambient() -> Option<Arc<Pipeline>> {
-    if let Some(top) = OVERRIDE.with(|o| o.borrow().last().cloned()) {
-        return top;
-    }
-    if let Some(resolved) = GLOBAL.read().unwrap().clone() {
-        return resolved;
-    }
-    let from_env = match std::env::var("SIM_PASSES") {
-        Ok(v) => match Pipeline::parse(&v) {
-            Ok(p) if p.is_empty() => None,
-            Ok(p) => Some(Arc::new(p)),
-            Err(e) => panic!("SIM_PASSES: {e}"),
-        },
-        Err(_) => None,
-    };
-    let mut w = GLOBAL.write().unwrap();
-    if w.is_none() {
-        *w = Some(from_env);
-    }
-    w.clone().unwrap()
+    OVERRIDE
+        .with(|o| o.borrow().last().cloned())
+        .unwrap_or_else(|| GLOBAL.read().unwrap().clone())
 }
 
-/// Comma-separated name list of the ambient pipeline ("" when none) — the
-/// normalization used in checkpoint headers and cell specs.
-pub fn ambient_names() -> String {
-    ambient().map(|p| p.to_string()).unwrap_or_default()
-}
-
-/// Select the pass pipeline for subsequent launches process-wide,
-/// overriding `SIM_PASSES` (`None` or an empty pipeline disables
-/// optimization). Launches in flight keep what they resolved at start.
+/// Select the pass pipeline for subsequent launches process-wide (`None`
+/// or an empty pipeline disables optimization). Launches in flight keep
+/// what they resolved at start.
 pub fn set_passes(p: Option<Pipeline>) {
-    let normalized = p.filter(|p| !p.is_empty()).map(Arc::new);
-    *GLOBAL.write().unwrap() = Some(normalized);
+    *GLOBAL.write().unwrap() = p.filter(|p| !p.is_empty()).map(Arc::new);
 }
 
 /// Run `f` with the ambient pipeline overridden on this thread only —
@@ -616,7 +592,7 @@ mod exec_tests {
         let p = gauntlet();
         let plain = run(&p, None);
         let optimized = with_passes(Some(Pipeline::full()), || run(&p, None));
-        assert_eq!(plain, optimized, "SIM_PASSES-style ambient launch diverged");
+        assert_eq!(plain, optimized, "ambient optimized launch diverged");
     }
 
     #[test]

@@ -14,10 +14,10 @@
 //!   faults in one cell are independent of every other cell.
 //! * [`FaultSite`] — where a fault can strike (build, enqueue, meter, DVFS,
 //!   worker thread). Each site has its own probability in [`FaultRates`].
-//! * Ambient plumbing — [`install`] a process-wide plan (the harness CLI's
-//!   `--fault-seed`), or [`with_plan`] to override it for the current thread
+//! * Ambient plumbing — [`with_plan`] scopes a plan to the current thread
 //!   for the duration of a closure (the harness wraps each suite cell this
-//!   way). Injection hooks read [`current`].
+//!   way, so a cell's faults come from its own configuration and nothing
+//!   process-wide). Injection hooks read [`current`].
 //! * [`stats`] — per-site counters of faults actually injected, so the
 //!   harness can report what the chaos run did.
 //!
@@ -27,7 +27,6 @@
 use sim_rng::SplitMix64;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Marker embedded in every injected error / panic message.
 pub const TAG: &str = "[injected-fault]";
@@ -278,39 +277,32 @@ impl FaultPlan {
         let u = (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
         lo + u * (hi - lo)
     }
+
+    /// Worker-death hook: panic (with the injected-fault tag) if this plan
+    /// says the worker running task `task` dies. Call from inside the
+    /// pool task's `catch_unwind`, so the death becomes that task's
+    /// failure and nothing else's.
+    pub fn maybe_kill_worker(&self, task: u64) {
+        if self.roll(FaultSite::WorkerPanic, task) {
+            note(FaultSite::WorkerPanic);
+            panic!("{TAG} worker thread died on task {task}");
+        }
+    }
 }
 
 // ---- ambient plan ----
 
-/// Process-wide installed plan (`--fault-seed` / `FAULT_SEED`). `None`
-/// means fault injection is off globally.
-static INSTALLED: Mutex<Option<FaultPlan>> = Mutex::new(None);
-
 thread_local! {
-    /// Per-thread override stack: the top entry (even `None`) shadows the
-    /// installed plan. The harness pushes a per-cell derived plan here so
-    /// every injection hook a cell reaches sees that cell's scope.
+    /// Per-thread scope stack: the top entry (even `None`) is the plan
+    /// injection hooks see. The harness pushes a per-cell derived plan here
+    /// so every injection hook a cell reaches sees that cell's scope.
     static OVERRIDE: RefCell<Vec<Option<FaultPlan>>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Install (or clear, with `None`) the process-wide fault plan.
-pub fn install(plan: Option<FaultPlan>) {
-    *INSTALLED.lock().unwrap_or_else(|e| e.into_inner()) = plan;
-}
-
-/// The installed process-wide plan, ignoring thread-local overrides.
-pub fn installed() -> Option<FaultPlan> {
-    *INSTALLED.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 /// The plan injection hooks should consult right now: the innermost
-/// [`with_plan`] override on this thread, else the installed plan.
+/// [`with_plan`] scope on this thread, else none (injection off).
 pub fn current() -> Option<FaultPlan> {
-    let over = OVERRIDE.with(|s| s.borrow().last().copied());
-    match over {
-        Some(plan_or_none) => plan_or_none,
-        None => installed(),
-    }
+    OVERRIDE.with(|s| s.borrow().last().copied().flatten())
 }
 
 struct PopGuard;
@@ -323,9 +315,9 @@ impl Drop for PopGuard {
     }
 }
 
-/// Run `f` with `plan` as this thread's ambient fault plan (shadowing the
-/// installed plan; `None` disables injection inside `f`). Unwind-safe: the
-/// override is popped even if `f` panics.
+/// Run `f` with `plan` as this thread's ambient fault plan (shadowing any
+/// enclosing scope; `None` disables injection inside `f`). Unwind-safe:
+/// the scope is popped even if `f` panics.
 pub fn with_plan<R>(plan: Option<FaultPlan>, f: impl FnOnce() -> R) -> R {
     OVERRIDE.with(|s| s.borrow_mut().push(plan));
     let _guard = PopGuard;
@@ -366,18 +358,6 @@ pub fn stats() -> [(FaultSite, u64); 11] {
 pub fn reset_stats() {
     for s in &STATS {
         s.store(0, Ordering::Relaxed);
-    }
-}
-
-/// Pool-worker hook: panic (with the injected-fault tag) if the ambient
-/// plan says worker `seq`'s task dies. Call from inside the pool's
-/// per-task `catch_unwind`.
-pub fn maybe_worker_panic(seq: u64) {
-    if let Some(plan) = current() {
-        if plan.roll(FaultSite::WorkerPanic, seq) {
-            note(FaultSite::WorkerPanic);
-            panic!("{TAG} worker thread died on task {seq}");
-        }
     }
 }
 
@@ -466,19 +446,34 @@ mod tests {
     }
 
     #[test]
-    fn ambient_override_shadows_installed() {
-        // Serialized with other ambient users by running in one test.
-        install(Some(FaultPlan::new(42)));
-        assert_eq!(installed().map(|p| p.seed()), Some(42));
-        let inner = with_plan(Some(FaultPlan::new(9)), || current().map(|p| p.seed()));
-        assert_eq!(inner, Some(9));
-        let masked = with_plan(None, current);
-        assert_eq!(masked, None, "explicit None masks the installed plan");
-        // Unwind-safety: the override is popped on panic.
-        let _ = std::panic::catch_unwind(|| with_plan(Some(FaultPlan::new(1)), || panic!("x")));
-        assert_eq!(current().map(|p| p.seed()), Some(42));
-        install(None);
+    fn with_plan_scopes_nest_and_unwind() {
+        assert_eq!(current(), None, "no scope, no plan");
+        with_plan(Some(FaultPlan::new(42)), || {
+            assert_eq!(current().map(|p| p.seed()), Some(42));
+            let inner = with_plan(Some(FaultPlan::new(9)), || current().map(|p| p.seed()));
+            assert_eq!(inner, Some(9));
+            let masked = with_plan(None, current);
+            assert_eq!(masked, None, "explicit None masks the enclosing plan");
+            // Unwind-safety: the inner scope is popped on panic.
+            let _ = std::panic::catch_unwind(|| with_plan(Some(FaultPlan::new(1)), || panic!("x")));
+            assert_eq!(current().map(|p| p.seed()), Some(42));
+        });
         assert_eq!(current(), None);
+    }
+
+    #[test]
+    fn worker_death_is_a_tagged_roll() {
+        let p = FaultPlan::new(7);
+        let task = (0..256)
+            .find(|&t| p.roll(FaultSite::WorkerPanic, t))
+            .expect("3% rate fires within 256 tasks");
+        let err = std::panic::catch_unwind(|| p.maybe_kill_worker(task)).unwrap_err();
+        let msg = err.downcast_ref::<String>().unwrap();
+        assert_eq!(*msg, format!("{TAG} worker thread died on task {task}"));
+        let quiet = (0..256)
+            .find(|&t| !p.roll(FaultSite::WorkerPanic, t))
+            .unwrap();
+        p.maybe_kill_worker(quiet);
     }
 
     #[test]

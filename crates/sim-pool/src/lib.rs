@@ -206,20 +206,17 @@ pub fn panic_message(p: &Box<dyn std::any::Any + Send>) -> String {
 /// task `i` yields `Err(TaskPanic)` in slot `i` instead of poisoning the
 /// whole map. The remaining tasks still run to completion.
 ///
-/// Before each task runs, the ambient fault plan (if any) may deterministically
-/// kill the worker via [`sim_faults::maybe_worker_panic`], keyed by the task
-/// index — so the same plan produces the same casualties at any thread count.
+/// The pool injects no faults of its own. Deterministic worker deaths are
+/// the caller's: the harness rolls them inside each cell task from that
+/// cell's own fault plan, and this isolation turns them into per-task
+/// `Err`s at any thread count.
 pub fn try_parallel_map<T, F>(n: usize, f: F) -> Vec<Result<T, TaskPanic>>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
     parallel_map(n, |i| {
-        catch_unwind(AssertUnwindSafe(|| {
-            sim_faults::maybe_worker_panic(i as u64);
-            f(i)
-        }))
-        .map_err(|p| TaskPanic {
+        catch_unwind(AssertUnwindSafe(|| f(i))).map_err(|p| TaskPanic {
             message: panic_message(&p),
         })
     })

@@ -122,6 +122,10 @@ pub struct Request {
     /// Header names lowercased.
     pub headers: Vec<(String, String)>,
     pub body: Vec<u8>,
+    /// The dispatch lane the reactor classified this request into
+    /// ([`classify_lane`]); handlers reuse it rather than classifying
+    /// again, so a request rides one lane end to end.
+    pub lane: Lane,
 }
 
 impl Request {
@@ -268,6 +272,7 @@ fn parse_head(head: &[u8]) -> Result<Request, ReadError> {
         path,
         headers,
         body: Vec::new(),
+        lane: Lane::default(),
     })
 }
 
@@ -296,20 +301,27 @@ fn encode_response(resp: &Response) -> Vec<u8> {
 // ---- priority lanes ----
 
 /// Classify a request into a dispatch [`Lane`]. Only the sweep endpoints
-/// can be bulk: a body asking for the full grid (`"cells":"all"`) or
-/// naming more than `priority_cells` cells rides the bulk lane behind
-/// interactive traffic. Everything else — `/v1/cell`, health and metrics
-/// probes, small sweeps — is interactive. The cell count is a cheap
-/// syntactic estimate (occurrences of the `"bench"` key), deliberately
-/// computed without a JSON parse so classification is O(body) on the
-/// reactor thread; handlers still parse and validate for real.
+/// can be bulk: a body asking for the full grid (`"cells":"all"`, however
+/// the JSON is spaced) or naming more than `priority_cells` cells rides
+/// the bulk lane behind interactive traffic. Everything else —
+/// `/v1/cell`, health and metrics probes, small sweeps — is interactive.
+/// The cell count is a cheap syntactic estimate (occurrences of the
+/// `"bench"` key), deliberately computed without a JSON parse so
+/// classification is O(body) on the reactor thread; handlers still parse
+/// and validate for real. The reactor stores the result in
+/// [`Request::lane`], the one lane decision a request gets.
 pub fn classify_lane(req: &Request, priority_cells: usize) -> Lane {
     if req.method != "POST" || !matches!(req.path.as_str(), "/v1/sweep" | "/v1/cells") {
         return Lane::Interactive;
     }
-    if find_subslice(&req.body, b"\"cells\":\"all\"").is_some()
-        || find_subslice(&req.body, b"\"cells\": \"all\"").is_some()
-    {
+    // JSON whitespace is insignificant: `"cells" : "all"` is the full grid.
+    let compact: Vec<u8> = req
+        .body
+        .iter()
+        .copied()
+        .filter(|b| !b.is_ascii_whitespace())
+        .collect();
+    if find_subslice(&compact, b"\"cells\":\"all\"").is_some() {
         return Lane::Bulk;
     }
     if count_occurrences(&req.body, b"\"bench\"") <= priority_cells {
@@ -901,11 +913,12 @@ impl Server {
                 match step {
                     IoStep::Idle => {}
                     IoStep::Progress => conn.last_activity = now,
-                    IoStep::Dispatch(req) => {
+                    IoStep::Dispatch(mut req) => {
                         conn.last_activity = now;
                         conn.state = ConnState::Handling;
                         handling += 1;
                         let lane = classify_lane(&req, self.priority_cells);
+                        req.lane = lane;
                         self.lanes.on_enqueue(lane);
                         {
                             let mut st = dispatch.st.lock().unwrap_or_else(|e| e.into_inner());
@@ -1682,6 +1695,7 @@ mod tests {
             path: path.into(),
             headers: Vec::new(),
             body: body.to_vec(),
+            lane: Lane::default(),
         }
     }
 
@@ -1696,10 +1710,18 @@ mod tests {
             classify_lane(&lane_req("GET", "/metrics", b""), pc),
             Lane::Interactive
         );
-        assert_eq!(
-            classify_lane(&lane_req("POST", "/v1/sweep", b"{\"cells\":\"all\"}"), pc),
-            Lane::Bulk
-        );
+        for all in [
+            &b"{\"cells\":\"all\"}"[..],
+            b"{\"scale\":\"test\",\"cells\" : \"all\"}",
+            b"{\"cells\"\n\t:\r\n\"all\"}",
+        ] {
+            assert_eq!(
+                classify_lane(&lane_req("POST", "/v1/sweep", all), pc),
+                Lane::Bulk,
+                "{}",
+                String::from_utf8_lossy(all)
+            );
+        }
         assert_eq!(
             classify_lane(
                 &lane_req(

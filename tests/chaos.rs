@@ -2,10 +2,8 @@
 //! survive every injected failure (no panic escapes the harness), record
 //! the casualties as structured failure rows, stay byte-identical across
 //! thread counts, and resume from a truncated checkpoint to the exact
-//! artifacts of an uninterrupted run.
-//!
-//! One `#[test]` on purpose: `sim_faults::install` is process-global, and
-//! this integration-test binary owns the whole process.
+//! artifacts of an uninterrupted run. The plan rides in
+//! `SuiteConfig::faults` alone — worker deaths included.
 
 use harness::{checkpoint, run_suite_with, to_csv, to_jsonl, CellEntry, SuiteConfig};
 use hpc_kernels::test_suite;
@@ -35,7 +33,6 @@ fn chaos_suite_survives_and_stays_deterministic() {
             default_hook(info);
         }
     }));
-    sim_faults::install(Some(sim_faults::FaultPlan::new(SEED)));
 
     // The suite completes under fire at any thread count — the call
     // returning at all means no injected panic escaped cell isolation.
@@ -120,6 +117,7 @@ fn chaos_suite_survives_and_stays_deterministic() {
         .iter()
         .filter(|(_, f)| f.kind == harness::FailKind::WorkerPanic)
         .count();
+    assert!(worker_panics > 0, "seed {SEED} kills at least one worker");
     assert_eq!(final_cells.len(), 9 * 4 * 2 - worker_panics);
     assert!(final_cells
         .values()

@@ -548,3 +548,36 @@ fn interactive_request_overtakes_queued_bulk_sweeps() {
     assert_eq!(metric(&addr, "sim_server_wait_timeouts_total"), 0);
     srv.shutdown().unwrap();
 }
+
+/// A request gets one lane decision, made by the HTTP reactor however its
+/// JSON is spaced, and `serve` admits the request's cells to that same
+/// scheduler lane. `priority_cells` exceeds the grid, so only the
+/// `"cells":"all"` rule can make this sweep bulk.
+#[test]
+fn spaced_full_grid_sweep_rides_the_bulk_lane_at_both_layers() {
+    let (offline_jsonl, _) = offline();
+    let dir = tmp("lane-trace");
+    let _ = std::fs::remove_dir_all(&dir);
+    let srv = harness::serve::start(harness::ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        priority_cells: 100,
+        trace_dir: Some(dir.clone()),
+        trace_sample: 1,
+        ..harness::ServeConfig::default()
+    })
+    .expect("server starts");
+    let addr = srv.addr.to_string();
+
+    let (st, body) = sweep(&addr, r#"{"scale":"test","cells" : "all"}"#);
+    assert_eq!(st, 200);
+    assert_eq!(&body, offline_jsonl);
+    assert_eq!(metric(&addr, "sim_server_lane_dispatched_bulk_total"), 1);
+    let log = std::fs::read_to_string(dir.join("requests.log")).unwrap();
+    let line = log
+        .lines()
+        .find(|l| l.contains("endpoint=/v1/sweep"))
+        .unwrap_or_else(|| panic!("no sweep line in:\n{log}"));
+    assert!(line.contains(" lane=bulk "), "{line}");
+    srv.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -18,7 +18,7 @@ use powersim::Activity;
 use telemetry::{Counters, WorkSpan};
 
 /// Timing/energy outcome of one CPU run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CpuReport {
     /// Wall-clock time of the parallel region, seconds.
     pub time_s: f64,
@@ -51,6 +51,26 @@ pub struct CpuReport {
     /// Injected mid-run DVFS throttle factor (> 1 stretches every
     /// time-like quantity), if the ambient fault plan fired one.
     pub dvfs_throttle: Option<f64>,
+}
+
+/// The cores-independent outcome of one CPU launch: what the functional
+/// pass and the cache replay produced, before any core partition. Produced
+/// by [`CortexA15::profile`], consumed by [`CortexA15::time`].
+#[derive(Clone, Debug, PartialEq)]
+pub struct CpuProfile {
+    /// Kernel name (keys the DVFS throttle roll).
+    pub program_name: String,
+    /// Compute cycles charged to each work-group, in group order.
+    pub group_cycles: Vec<f64>,
+    /// Cache/DRAM statistics of the whole launch.
+    pub hier: HierarchyStats,
+    /// Performance counters, hierarchy included.
+    pub counters: Counters,
+    /// Host worker threads the group loop ran on (see
+    /// [`CpuReport::sim_threads`]).
+    pub sim_threads: usize,
+    /// Why the engine forced serial group execution, if it did.
+    pub sim_serial_reason: Option<&'static str>,
 }
 
 /// Mem-side tracer state: the cache hierarchy and stride classifiers whose
@@ -233,6 +253,9 @@ impl CortexA15 {
 
     /// Execute `program` over `ndrange` using `cores` cores (1 = the
     /// paper's Serial build, 2 = OpenMP). Mutates buffers in `pool`.
+    ///
+    /// Equivalent to [`time`](Self::time) over [`profile`](Self::profile):
+    /// callers that time one launch at several core counts profile once.
     pub fn run(
         &self,
         program: &Program,
@@ -241,11 +264,20 @@ impl CortexA15 {
         ndrange: NDRange,
         cores: u32,
     ) -> Result<CpuReport, ExecError> {
-        assert!(
-            cores >= 1 && cores <= self.cfg.max_cores,
-            "cores must be in 1..={}",
-            self.cfg.max_cores
-        );
+        Ok(self.time(&self.profile(program, bindings, pool, ndrange)?, cores))
+    }
+
+    /// The cores-independent part of a run: execute `program` functionally
+    /// (mutating buffers in `pool`) and replay its memory events through
+    /// the L1/L2 hierarchy in group order. Reads no fault plan, so one
+    /// profile serves every core count and every fault seed.
+    pub fn profile(
+        &self,
+        program: &Program,
+        bindings: &[ArgBinding],
+        pool: &mut MemoryPool,
+        ndrange: NDRange,
+    ) -> Result<CpuProfile, ExecError> {
         let mut tracer = CpuTracer::new(&self.cfg);
         let stats = run_ndrange_sharded(
             program,
@@ -255,8 +287,30 @@ impl CortexA15 {
             &mut tracer,
             sim_pool::threads(),
         )?;
-        let groups = tracer.group_cycles;
-        debug_assert_eq!(groups.len(), ndrange.total_groups().max(1));
+        debug_assert_eq!(tracer.group_cycles.len(), ndrange.total_groups().max(1));
+        let hier = tracer.hier.stats;
+        let mut counters = tracer.counters;
+        counters.absorb_hier(&hier);
+        Ok(CpuProfile {
+            program_name: program.name.clone(),
+            group_cycles: tracer.group_cycles,
+            hier,
+            counters,
+            sim_threads: stats.threads,
+            sim_serial_reason: stats.serial_reason,
+        })
+    }
+
+    /// The timing post-pass: partition the profiled work-groups over
+    /// `cores` cores and combine compute and DRAM time into a report. Rolls
+    /// the DVFS throttle fault (keyed on `cores`) under the ambient plan.
+    pub fn time(&self, profile: &CpuProfile, cores: u32) -> CpuReport {
+        assert!(
+            cores >= 1 && cores <= self.cfg.max_cores,
+            "cores must be in 1..={}",
+            self.cfg.max_cores
+        );
+        let groups = &profile.group_cycles;
 
         // Static block partition over cores. Each group's interval on its
         // core is recorded as a telemetry span (in wall-clock seconds, with
@@ -286,7 +340,8 @@ impl CortexA15 {
         // Memory time: DRAM-side limit (controller efficiency, scatter
         // derating) or the cores' aggregate streaming capability, whichever
         // binds.
-        let traffic = tracer.hier.stats.traffic;
+        let hier = profile.hier;
+        let traffic = hier.traffic;
         let dram_side = traffic.bandwidth_time(&self.cfg.dram);
         let aggregate_core_bw =
             self.cfg.core_stream_bw * (1.0 + self.cfg.smp_bw_scale * (cores as f64 - 1.0));
@@ -313,9 +368,6 @@ impl CortexA15 {
             cpu_busy[c] = time_s * share.max(if mem_time > compute_time { 0.85 } else { 0.0 });
         }
 
-        let hier = tracer.hier.stats;
-        let mut counters = tracer.counters;
-        counters.absorb_hier(&hier);
         let activity = Activity {
             duration_s: time_s,
             cpu_busy_s: cpu_busy,
@@ -333,14 +385,14 @@ impl CortexA15 {
             activity,
             hier,
             total_cycles,
-            counters,
+            counters: profile.counters.clone(),
             spans,
-            sim_threads: stats.threads,
-            sim_serial_reason: stats.serial_reason,
+            sim_threads: profile.sim_threads,
+            sim_serial_reason: profile.sim_serial_reason,
             dvfs_throttle: None,
         };
-        maybe_throttle(&mut report, &program.name);
-        Ok(report)
+        maybe_throttle(&mut report, &profile.program_name);
+        report
     }
 }
 
@@ -645,5 +697,79 @@ mod tests {
             t_rand > 1.5 * t_seq,
             "scattered gather ({t_rand:.3e}) should be ≫ sequential ({t_seq:.3e})"
         );
+    }
+
+    /// `run` is `time` over `profile`, at every core count, for every test
+    /// kernel of this module; one profile serves both core counts.
+    #[test]
+    fn run_equals_time_over_profile() {
+        let dev = CortexA15::default();
+        let launches: Vec<(Program, Vec<BufferData>, NDRange)> = vec![
+            (
+                streaming_kernel(),
+                vec![
+                    BufferData::from(vec![1.0f32; 4096]),
+                    BufferData::from(vec![2.0f32; 4096]),
+                    BufferData::zeroed(Scalar::F32, 4096),
+                ],
+                NDRange::d1(4096, 64),
+            ),
+            (
+                compute_heavy(300),
+                vec![
+                    BufferData::from(vec![1.0f32; 256]),
+                    BufferData::zeroed(Scalar::F32, 256),
+                ],
+                NDRange::d1(256, 16),
+            ),
+            (
+                compute_heavy(7),
+                vec![
+                    BufferData::from(vec![1.5f32; 250]),
+                    BufferData::zeroed(Scalar::F32, 250),
+                ],
+                NDRange::d1(250, 50),
+            ),
+        ];
+        for (p, bufs, nd) in launches {
+            let fresh = || {
+                let mut pool = MemoryPool::new();
+                let b: Vec<ArgBinding> = bufs
+                    .iter()
+                    .map(|d| ArgBinding::Global(pool.add(d.clone())))
+                    .collect();
+                (pool, b)
+            };
+            let (mut pp, b) = fresh();
+            let profile = dev.profile(&p, &b, &mut pp, nd).unwrap();
+            for cores in 1..=2 {
+                let (mut rp, b) = fresh();
+                let r = dev.run(&p, &b, &mut rp, nd, cores).unwrap();
+                assert_eq!(r, dev.time(&profile, cores), "{} x{cores}", p.name);
+                for i in 0..rp.len() {
+                    assert_eq!(rp.get(i), pp.get(i), "{} buffer {i}", p.name);
+                }
+            }
+        }
+    }
+
+    /// A profile is the same under any fault plan (so it can be shared
+    /// between cells of different seeds); only `time` rolls the throttle.
+    #[test]
+    fn profile_reads_no_fault_plan() {
+        let dev = CortexA15::default();
+        let p = streaming_kernel();
+        let nd = NDRange::d1(2048, 64);
+        let mut rates = sim_faults::FaultRates::zero();
+        rates.dvfs_throttle = 1.0;
+        let plan = sim_faults::FaultPlan::new(7).with_rates(rates);
+        let (mut p0, b) = setup_streaming(2048);
+        let plain = dev.profile(&p, &b, &mut p0, nd).unwrap();
+        let (mut p1, b) = setup_streaming(2048);
+        let planned = sim_faults::with_plan(Some(plan), || dev.profile(&p, &b, &mut p1, nd));
+        assert_eq!(planned.unwrap(), plain);
+        assert_eq!(dev.time(&plain, 2).dvfs_throttle, None);
+        let throttled = sim_faults::with_plan(Some(plan), || dev.time(&plain, 2));
+        assert!(throttled.dvfs_throttle.is_some(), "time rolls the throttle");
     }
 }

@@ -15,9 +15,17 @@
 //!   shared DRAM bandwidth and a fork/join overhead — which is exactly why
 //!   memory-bound benchmarks only reach the paper's 1.2× while
 //!   compute-bound ones approach 1.9×.
+//!
+//! A run is two stages. [`CortexA15::profile`] does the costly,
+//! cores-independent work — the functional pass and the cache replay —
+//! and returns a [`CpuProfile`]; [`CortexA15::time`] turns a profile into
+//! a [`CpuReport`] for a given core count (partition, SMP penalty,
+//! bandwidth roofline, fork/join overhead, DVFS throttle roll).
+//! [`CortexA15::run`] is `time` over `profile`, so a caller timing one
+//! launch on 1 and 2 cores can simulate it once.
 
 pub mod config;
 pub mod device;
 
 pub use config::CortexA15Config;
-pub use device::{CortexA15, CpuReport};
+pub use device::{CortexA15, CpuProfile, CpuReport};

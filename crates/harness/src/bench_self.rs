@@ -11,8 +11,10 @@
 //! the repo root when invoked from there) so speedups can be tracked
 //! across commits: `columnar_speedup` is the single-thread interpreter
 //! gain from the SoA rewrite, `parallel_speedup` the threading gain on
-//! top of it, and `per_bench` breaks the single-thread comparison down by
-//! family (interpreter-bound families vs device-model-bound ones).
+//! top of it (`null` on a host with one hardware thread, where threading
+//! cannot gain and the ratio would only measure noise), and `per_bench`
+//! breaks the single-thread comparison down by family (interpreter-bound
+//! families vs device-model-bound ones).
 
 use crate::{run_suite, run_suite_with, to_csv, to_jsonl, SuiteConfig};
 use hpc_kernels::Benchmark;
@@ -61,7 +63,8 @@ pub struct SelfBench {
     /// Single-thread gain of the columnar engine: scalar@1 / columnar@1.
     pub columnar_speedup: f64,
     /// Threading gain of the columnar engine: columnar@1 / columnar@8.
-    pub parallel_speedup: f64,
+    /// `None` when the host has fewer than 2 hardware threads.
+    pub parallel_speedup: Option<f64>,
     /// Interpreter gain of the canonical full optimizer pipeline on the
     /// columnar engine: columnar@1 unoptimized / columnar@1 optimized.
     /// Fewer executed instructions -> less interpreter work per launch.
@@ -102,7 +105,7 @@ impl SelfBench {
         format!(
             "{{\n  \"host_threads\": {},\n  \"scale\": \"{}\",\n  \"rows\": [\n{}\n  ],\n  \
              \"per_bench\": [\n{}\n  ],\n  \
-             \"columnar_speedup\": {:.3},\n  \"parallel_speedup\": {:.3},\n  \
+             \"columnar_speedup\": {:.3},\n  \"parallel_speedup\": {},\n  \
              \"opt_speedup\": {:.3},\n  \
              \"outputs_identical\": {}\n}}\n",
             self.host_threads,
@@ -110,7 +113,8 @@ impl SelfBench {
             rows.join(",\n"),
             per_bench.join(",\n"),
             self.columnar_speedup,
-            self.parallel_speedup,
+            self.parallel_speedup
+                .map_or("null".to_string(), |x| format!("{x:.3}")),
             self.opt_speedup,
             self.outputs_identical
         )
@@ -145,12 +149,16 @@ impl SelfBench {
                 ));
             }
         }
+        let parallel = match self.parallel_speedup {
+            Some(x) => format!("{x:.2}x"),
+            None => "n/a (one hardware thread: threading cannot gain)".to_string(),
+        };
         s.push_str(&format!(
             "  columnar speedup (1 worker) : {:.2}x\n\
-             \x20 parallel speedup (columnar): {:.2}x\n\
+             \x20 parallel speedup (columnar): {parallel}\n\
              \x20 optimizer speedup (full)   : {:.2}x\n\
              \x20 outputs identical          : {}\n",
-            self.columnar_speedup, self.parallel_speedup, self.opt_speedup, self.outputs_identical
+            self.columnar_speedup, self.opt_speedup, self.outputs_identical
         ));
         s
     }
@@ -254,8 +262,34 @@ pub fn run(test_scale: bool) -> SelfBench {
         rows,
         per_bench,
         columnar_speedup: scalar_1 / col_1.max(1e-9),
-        parallel_speedup: col_1 / col_n.max(1e-9),
+        parallel_speedup: (host_threads >= 2).then(|| col_1 / col_n.max(1e-9)),
         opt_speedup: col_1 / opt_1.max(1e-9),
         outputs_identical,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn one_thread_host_publishes_no_parallel_speedup() {
+        let b = SelfBench {
+            host_threads: 1,
+            scale: "test",
+            rows: Vec::new(),
+            per_bench: Vec::new(),
+            columnar_speedup: 2.0,
+            parallel_speedup: None,
+            opt_speedup: 1.0,
+            outputs_identical: true,
+        };
+        assert!(b.to_json().contains("\"parallel_speedup\": null,"));
+        assert!(b.summary().contains("parallel speedup (columnar): n/a"));
+        let two = SelfBench {
+            parallel_speedup: Some(1.5),
+            ..b
+        };
+        assert!(two.to_json().contains("\"parallel_speedup\": 1.500,"));
     }
 }

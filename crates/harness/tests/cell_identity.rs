@@ -155,3 +155,19 @@ fn checkpoint_header_names_the_ambient_pipeline() {
     );
     let _ = std::fs::remove_file(&state);
 }
+
+/// An OpenMP cell served on its own simulates its CPU launch itself; in an
+/// offline sweep it reuses its Serial sibling's profile. The bytes agree.
+#[test]
+fn openmp_cells_evaluated_alone_match_shared_evaluation() {
+    let omp: Vec<String> = hpc_kernels::test_suite()
+        .iter()
+        .flat_map(|b| ["single", "double"].map(|p| format!("{}/OpenMP/{p}", b.name())))
+        .collect();
+    assert_eq!(omp.len(), 18);
+    let srv = Listener::serve(&[]);
+    let alone = submit(&srv.addr, &["--cells", &omp.join(",")]);
+    assert_eq!(alone.lines().count(), 18);
+    let offline = stdout(harness(&["jsonl", "--test-scale"]));
+    assert_eq!(submit(&srv.addr, &[]), offline);
+}

@@ -154,7 +154,8 @@ pub fn gpu() -> MaliT604 {
 }
 
 /// Run a kernel on 1 or 2 CPU cores, returning (time, activity, pool,
-/// telemetry).
+/// telemetry). The launch is profiled through [`crate::memo`], so the
+/// Serial and OpenMP cells of one benchmark simulate it once between them.
 pub fn run_cpu_kernel(
     program: &Program,
     bindings: &[ArgBinding],
@@ -163,9 +164,8 @@ pub fn run_cpu_kernel(
     cores: u32,
 ) -> (f64, Activity, MemoryPool, RunTelemetry) {
     let dev = cpu();
-    let report = dev
-        .run(program, bindings, &mut pool, ndrange, cores)
-        .expect("CPU launch failed — benchmark bug");
+    let profile = crate::memo::profile(&dev, program, bindings, &mut pool, ndrange);
+    let report = dev.time(&profile, cores);
     let telemetry = RunTelemetry {
         counters: report.counters.clone(),
         commands: vec![CommandSpan {

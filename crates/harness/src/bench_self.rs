@@ -167,7 +167,8 @@ impl SelfBench {
 /// One timed suite pass at a fixed engine, worker count and optimizer
 /// pipeline; returns wall-clock plus the byte-comparable exports. The
 /// pipeline rides in `SuiteConfig::passes`, which scopes every cell on
-/// the worker that runs it.
+/// the worker that runs it. The pass starts with an empty launch memo, so
+/// it times simulation rather than hits on earlier passes' launches.
 fn timed_pass(
     benches: &[Box<dyn Benchmark>],
     engine: Engine,
@@ -180,6 +181,7 @@ fn timed_pass(
         passes: passes.cloned(),
         ..SuiteConfig::default()
     };
+    kernel_ir::memo::clear();
     let t0 = Instant::now();
     let results = run_suite_with(benches, &cfg);
     let dt = t0.elapsed().as_secs_f64();
@@ -271,6 +273,42 @@ pub fn run(test_scale: bool) -> SelfBench {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kernel_ir::prelude::*;
+
+    #[test]
+    fn a_timed_pass_starts_with_an_empty_memo() {
+        // A launch no other test makes, so only a clear can drop its entry.
+        let mut kb = KernelBuilder::new("bench-self-memo-probe");
+        let a = kb.arg_global(Scalar::F32, Access::ReadWrite, true);
+        let gid = kb.query_global_id(0);
+        kb.store(a, gid.into(), Operand::ImmF(3.0));
+        let p = kb.finish();
+        let bind = [ArgBinding::Global(0)];
+        let simulates = || {
+            let mut pool = MemoryPool::new();
+            pool.add(BufferData::zeroed(Scalar::F32, 4));
+            let mut simulated = false;
+            let nd = NDRange::d1(4, 1);
+            kernel_ir::memo::launch(
+                &"probe",
+                &p,
+                &bind,
+                &mut pool,
+                nd,
+                |_: &()| 0,
+                |pool| {
+                    simulated = true;
+                    run_ndrange(&p, &bind, pool, nd, &mut NullTracer)
+                },
+            )
+            .unwrap();
+            simulated
+        };
+        assert!(simulates());
+        assert!(!simulates(), "held until a pass clears it");
+        let _ = timed_pass(&[], kernel_ir::engine(), sim_pool::threads(), None);
+        assert!(simulates(), "the pass emptied the memo");
+    }
 
     #[test]
     fn one_thread_host_publishes_no_parallel_speedup() {

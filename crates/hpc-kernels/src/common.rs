@@ -1,7 +1,7 @@
 //! Shared benchmark infrastructure: precisions, variants, run outcomes,
 //! device plumbing and validation helpers.
 
-use cpu_sim::{CortexA15, CortexA15Config};
+use cpu_sim::{CortexA15, CortexA15Config, CpuProfile};
 use kernel_ir::{ArgBinding, BufferData, MemoryPool, NDRange, Program, Scalar};
 use mali_gpu::{MaliConfig, MaliT604};
 use ocl_runtime::{ClError, CompiledKernel, Context, EventKind, KernelArg, MemFlags};
@@ -154,8 +154,9 @@ pub fn gpu() -> MaliT604 {
 }
 
 /// Run a kernel on 1 or 2 CPU cores, returning (time, activity, pool,
-/// telemetry). The launch is profiled through [`crate::memo`], so the
-/// Serial and OpenMP cells of one benchmark simulate it once between them.
+/// telemetry). The launch is profiled through [`kernel_ir::memo`], so the
+/// Serial and OpenMP cells of one benchmark, and cells whose pipelines
+/// execute the same program, simulate it once between them.
 pub fn run_cpu_kernel(
     program: &Program,
     bindings: &[ArgBinding],
@@ -163,8 +164,19 @@ pub fn run_cpu_kernel(
     ndrange: NDRange,
     cores: u32,
 ) -> (f64, Activity, MemoryPool, RunTelemetry) {
+    #[cfg(test)]
+    tests::record(program, bindings, &pool, ndrange);
     let dev = cpu();
-    let profile = crate::memo::profile(&dev, program, bindings, &mut pool, ndrange);
+    let profile = kernel_ir::memo::launch(
+        &dev.cfg,
+        program,
+        bindings,
+        &mut pool,
+        ndrange,
+        |p: &CpuProfile| p.program_name.len() + p.group_cycles.len() * 8,
+        |pool| dev.profile(program, bindings, pool, ndrange),
+    )
+    .expect("CPU launch failed — benchmark bug");
     let report = dev.time(&profile, cores);
     let telemetry = RunTelemetry {
         counters: report.counters.clone(),
@@ -328,6 +340,48 @@ pub fn prng_uniform(seed: u64, n: usize) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_suite;
+    use std::cell::RefCell;
+
+    type Launch = (Program, Vec<ArgBinding>, MemoryPool, NDRange);
+
+    thread_local! {
+        /// CPU launches made on this thread while a test records them.
+        static SEEN: RefCell<Option<Vec<Launch>>> = const { RefCell::new(None) };
+    }
+
+    pub(super) fn record(p: &Program, b: &[ArgBinding], pool: &MemoryPool, nd: NDRange) {
+        SEEN.with(|s| {
+            if let Some(v) = s.borrow_mut().as_mut() {
+                v.push((p.clone(), b.to_vec(), pool.clone(), nd));
+            }
+        });
+    }
+
+    /// `run` equals `time` over `profile`, field for field, at both core
+    /// counts, on every CPU launch of one cell per benchmark family.
+    #[test]
+    fn suite_launches_time_like_they_run() {
+        let dev = cpu();
+        for b in test_suite() {
+            SEEN.with(|s| *s.borrow_mut() = Some(Vec::new()));
+            b.run(Variant::Serial, Precision::F32).unwrap();
+            let launches = SEEN.with(|s| s.borrow_mut().take()).unwrap();
+            assert!(!launches.is_empty(), "{} launched nothing", b.name());
+            for (p, bind, pool, nd) in launches {
+                let mut profiled = pool.clone();
+                let profile = dev.profile(&p, &bind, &mut profiled, nd).unwrap();
+                for cores in 1..=2 {
+                    let mut ran = pool.clone();
+                    let report = dev.run(&p, &bind, &mut ran, nd, cores).unwrap();
+                    assert_eq!(report, dev.time(&profile, cores), "{} x{cores}", b.name());
+                    for i in 0..ran.len() {
+                        assert_eq!(ran.get(i), profiled.get(i), "{} buffer {i}", b.name());
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn precision_buffers() {

@@ -22,7 +22,6 @@ pub mod common;
 pub mod conv2d;
 pub mod dmmm;
 pub mod hist;
-pub mod memo;
 pub mod nbody;
 pub mod red;
 pub mod spmv;

@@ -1,14 +1,15 @@
-//! The CPU launch-profile memo: the OpenMP cell reuses the Serial cell's
-//! simulation, a reused outcome is indistinguishable from a fresh one, and
+//! The launch memo on the CPU path: the OpenMP cell reuses the Serial
+//! cell's simulation, a reused outcome is indistinguishable from a fresh
+//! one, a pipeline that executes the same program reuses it too, and
 //! anything that could change a profile misses.
 //!
-//! The reuse counter is process-wide and some tests flip process-wide
-//! settings (engine, thread count), so the tests of this binary run one at
-//! a time.
+//! The memo and its reuse counter are process-wide and some tests flip
+//! process-wide settings (engine, thread count), so the tests of this
+//! binary run one at a time.
 
 use hpc_kernels::common::run_cpu_kernel;
-use hpc_kernels::memo::reuse_count;
 use hpc_kernels::{take_output_digest, test_suite, Precision, RunOutcome, Variant};
+use kernel_ir::memo::reuse_count;
 use kernel_ir::opt::Pipeline;
 use kernel_ir::prelude::*;
 use kernel_ir::{Access, BufferData, Engine};
@@ -48,8 +49,7 @@ fn assert_same_outcome(a: &RunOutcome, b: &RunOutcome, what: &str) {
 #[test]
 fn serial_then_openmp_reuses_the_profile_once() {
     let _g = one_at_a_time();
-    // A pipeline no other test of this binary uses keeps their entries
-    // out of the count.
+    kernel_ir::memo::clear();
     let cf = Pipeline::parse("cf").unwrap();
     let run = |v| kernel_ir::opt::with_passes(Some(cf.clone()), || cell("spmv", v, Precision::F32));
     let (_, _, serial) = run(Variant::Serial);
@@ -57,7 +57,30 @@ fn serial_then_openmp_reuses_the_profile_once() {
     let (_, _, omp) = run(Variant::OpenMp);
     assert_eq!(omp, 1, "the OpenMP cell takes the Serial cell's profile");
     let (_, _, again) = run(Variant::OpenMp);
-    assert_eq!(again, 0, "a hit takes the entry");
+    assert_eq!(again, 1, "a third run hits again");
+}
+
+#[test]
+fn a_pipeline_that_executes_the_same_program_reuses_the_simulation() {
+    let _g = one_at_a_time();
+    // Two pass lists that optimize spmv's CPU kernel to one program.
+    let first = Pipeline::parse("alg,dce").unwrap();
+    let second = Pipeline::parse("alg,dce,dce").unwrap();
+    let run = |p: &Pipeline| {
+        kernel_ir::opt::with_passes(Some(p.clone()), || {
+            cell("spmv", Variant::Serial, Precision::F32)
+        })
+    };
+    kernel_ir::memo::clear();
+    let (fresh, fresh_digest, hits) = run(&second);
+    assert_eq!(hits, 0, "an empty memo simulates");
+    kernel_ir::memo::clear();
+    let (_, _, hits) = run(&first);
+    assert_eq!(hits, 0, "the first pipeline simulates");
+    let (reused, reused_digest, hits) = run(&second);
+    assert_eq!(hits, 1, "{second} executes what {first} executed");
+    assert_same_outcome(&fresh, &reused, "spmv/Serial/single");
+    assert_eq!(fresh_digest, reused_digest, "output digest");
 }
 
 #[test]
@@ -67,7 +90,8 @@ fn a_reused_openmp_outcome_equals_a_fresh_one() {
         for prec in Precision::ALL {
             let what = format!("{}/{}", b.name(), prec.label());
             // The first run simulates and leaves its profile behind; the
-            // second takes it (every launch of the cell: red has two).
+            // second reuses it (every launch of the cell: red has two).
+            kernel_ir::memo::clear();
             let (fresh, fresh_digest, _) = cell(b.name(), Variant::OpenMp, prec);
             let (reused, reused_digest, hits) = cell(b.name(), Variant::OpenMp, prec);
             assert!(hits >= 1, "{what}: second run reused nothing");
@@ -77,7 +101,7 @@ fn a_reused_openmp_outcome_equals_a_fresh_one() {
     }
 }
 
-/// out[i] = a[i] + b[i].
+/// out[i] = a[i] * 1.0 + b[i].
 fn add_kernel() -> Program {
     let mut kb = KernelBuilder::new("memo-add");
     let a = kb.arg_global(Scalar::F32, Access::ReadOnly, true);
@@ -86,7 +110,9 @@ fn add_kernel() -> Program {
     let gid = kb.query_global_id(0);
     let va = kb.load(Scalar::F32, a, gid.into());
     let vb = kb.load(Scalar::F32, b, gid.into());
-    let s = kb.bin(BinOp::Add, va.into(), vb.into(), VType::scalar(Scalar::F32));
+    let f32x1 = VType::scalar(Scalar::F32);
+    let one = kb.bin(BinOp::Mul, va.into(), Operand::ImmF(1.0), f32x1);
+    let s = kb.bin(BinOp::Add, one.into(), vb.into(), f32x1);
     kb.store(c, gid.into(), s.into());
     kb.finish()
 }
@@ -114,9 +140,10 @@ fn anything_that_could_change_a_profile_misses() {
     let (hits, expected) = launch(zeros.clone(), nd);
     assert_eq!(hits, 0, "first launch simulates");
 
+    // `alg` rewrites `x * 1.0` away, so the executed program changes.
     let (hits, _) =
         kernel_ir::opt::with_passes(Some(Pipeline::full()), || launch(zeros.clone(), nd));
-    assert_eq!(hits, 0, "another pipeline");
+    assert_eq!(hits, 0, "a pipeline that changes the executed program");
 
     let engine = kernel_ir::engine();
     kernel_ir::set_engine(match engine {

@@ -1563,8 +1563,8 @@ impl<'a, T: ExecTracer> GroupExecutor<'a, T> {
         // Ambient optimizer pipeline (opt::set_passes / opt::with_passes), the
         // same hook for every engine and thread count so results stay
         // byte-identical across the execution matrix.
-        let opt = crate::opt::ambient().map(|pl| pl.run(program));
-        let program = opt.as_ref().unwrap_or(program);
+        let opt = crate::opt::executed(program);
+        let program = opt.as_deref().unwrap_or(program);
         check_bindings(program, bindings, pool)?;
         let dp = DecodedProgram::decode(program, bindings, pool);
         let engine = resolve_engine(engine, &dp);
@@ -1714,8 +1714,8 @@ where
         return Err(ExecError::InvalidNDRange(ndrange));
     }
     // Same ambient-optimizer hook as `GroupExecutor::with_engine`.
-    let opt = crate::opt::ambient().map(|pl| pl.run(program));
-    let program = opt.as_ref().unwrap_or(program);
+    let opt = crate::opt::executed(program);
+    let program = opt.as_deref().unwrap_or(program);
     check_bindings(program, bindings, pool)?;
     let dp = DecodedProgram::decode(program, bindings, pool);
     let total = ndrange.total_groups();

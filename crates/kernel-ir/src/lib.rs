@@ -48,6 +48,7 @@ pub(crate) mod columnar;
 pub mod display;
 pub mod exec;
 pub mod instr;
+pub mod memo;
 pub mod memory;
 pub mod ops;
 pub mod opt;

@@ -277,6 +277,36 @@ pub fn ambient() -> Option<Arc<Pipeline>> {
         .unwrap_or_else(|| GLOBAL.read().unwrap().clone())
 }
 
+thread_local! {
+    /// A handed program (by address) and the program it executes, resolved
+    /// once by the launch memo for the launch in flight on this thread.
+    static RESOLVED: RefCell<Option<(*const Program, Arc<Program>)>> = const { RefCell::new(None) };
+}
+
+/// The program a launch of `p` executes: `p` under the ambient pipeline
+/// (`None` = `p` itself). Both engines' launch hooks resolve through here.
+pub(crate) fn executed(p: &Program) -> Option<Arc<Program>> {
+    let resolved = RESOLVED.with(|r| match &*r.borrow() {
+        Some((at, q)) if std::ptr::eq(*at, p) => Some(Arc::clone(q)),
+        _ => None,
+    });
+    resolved.or_else(|| ambient().map(|pl| Arc::new(pl.run(p))))
+}
+
+/// Run `f` with `executed(p)` answered by `q` (what `executed(p)` already
+/// returned on this thread), so a launch optimizes its program once.
+pub(crate) fn with_executed<R>(p: &Program, q: Option<Arc<Program>>, f: impl FnOnce() -> R) -> R {
+    struct Guard(Option<(*const Program, Arc<Program>)>);
+    impl Drop for Guard {
+        fn drop(&mut self) {
+            RESOLVED.with(|r| *r.borrow_mut() = self.0.take());
+        }
+    }
+    let Some(q) = q else { return f() };
+    let _g = Guard(RESOLVED.with(|r| r.replace(Some((p, q)))));
+    f()
+}
+
 /// Select the pass pipeline for subsequent launches process-wide (`None`
 /// or an empty pipeline disables optimization). Launches in flight keep
 /// what they resolved at start.

@@ -60,7 +60,7 @@ impl From<ExecError> for MaliError {
 }
 
 /// Timing/energy outcome of one GPU launch.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MaliReport {
     /// Wall-clock time including launch overhead, seconds.
     pub time_s: f64,
@@ -323,7 +323,23 @@ impl MaliT604 {
     }
 
     /// Execute a kernel over an NDRange. Mutates buffers in `pool`.
+    /// [`simulate`](Self::simulate), then [`throttle`](Self::throttle).
     pub fn run(
+        &self,
+        program: &Program,
+        bindings: &[ArgBinding],
+        pool: &mut MemoryPool,
+        ndrange: NDRange,
+    ) -> Result<MaliReport, MaliError> {
+        let mut report = self.simulate(program, bindings, pool, ndrange)?;
+        Self::throttle(&mut report, &program.name);
+        Ok(report)
+    }
+
+    /// The pure simulation of a launch: resource check, functional
+    /// execution, timing, occupancy and activity. Reads no fault plan, so
+    /// its report is a function of the launch alone.
+    pub fn simulate(
         &self,
         program: &Program,
         bindings: &[ArgBinding],
@@ -404,7 +420,7 @@ impl MaliT604 {
             dram_bytes: hier.traffic.total_lines() * cfg.dram.line_bytes as u64,
         };
 
-        let mut report = MaliReport {
+        Ok(MaliReport {
             time_s,
             compute_time_s: compute_time,
             mem_time_s: mem_time,
@@ -420,40 +436,39 @@ impl MaliT604 {
             sim_threads: stats.threads,
             sim_serial_reason: stats.serial_reason,
             dvfs_throttle: None,
-        };
-        maybe_throttle(&mut report, &program.name);
-        Ok(report)
+        })
     }
-}
 
-/// Fault injection: a mid-run governor throttle drops the GPU clock,
-/// stretching every time-like quantity by one uniform factor. Keyed on the
-/// kernel name and group count so the decision is a pure function of the
-/// launch, independent of scheduling. Counters and DRAM traffic are
-/// unaffected — only the clock changed, not the work.
-fn maybe_throttle(report: &mut MaliReport, program_name: &str) {
-    let Some(plan) = sim_faults::current() else {
-        return;
-    };
-    let seq = sim_faults::hash_key(program_name) ^ report.groups as u64;
-    if !plan.roll(sim_faults::FaultSite::DvfsThrottle, seq) {
-        return;
-    }
-    let k = plan.uniform(sim_faults::FaultSite::DvfsThrottle, seq, 1.1, 1.4);
-    sim_faults::note(sim_faults::FaultSite::DvfsThrottle);
-    report.dvfs_throttle = Some(k);
-    report.time_s *= k;
-    report.compute_time_s *= k;
-    report.mem_time_s *= k;
-    report.atomic_time_s *= k;
-    report.exposure_s *= k;
-    report.activity.duration_s *= k;
-    report.activity.gpu_active_s *= k;
-    report.activity.gpu_arith_util_s *= k;
-    report.activity.gpu_ls_util_s *= k;
-    for s in &mut report.spans {
-        s.start_s *= k;
-        s.end_s *= k;
+    /// Fault injection: under the ambient plan, a mid-run governor
+    /// throttle may drop the GPU clock, stretching every time-like quantity
+    /// of `report` by one uniform factor. Keyed on the kernel name and
+    /// group count so the decision is a pure function of the launch,
+    /// independent of scheduling. Counters and DRAM traffic are unaffected
+    /// — only the clock changed, not the work.
+    pub fn throttle(report: &mut MaliReport, program_name: &str) {
+        let Some(plan) = sim_faults::current() else {
+            return;
+        };
+        let seq = sim_faults::hash_key(program_name) ^ report.groups as u64;
+        if !plan.roll(sim_faults::FaultSite::DvfsThrottle, seq) {
+            return;
+        }
+        let k = plan.uniform(sim_faults::FaultSite::DvfsThrottle, seq, 1.1, 1.4);
+        sim_faults::note(sim_faults::FaultSite::DvfsThrottle);
+        report.dvfs_throttle = Some(k);
+        report.time_s *= k;
+        report.compute_time_s *= k;
+        report.mem_time_s *= k;
+        report.atomic_time_s *= k;
+        report.exposure_s *= k;
+        report.activity.duration_s *= k;
+        report.activity.gpu_active_s *= k;
+        report.activity.gpu_arith_util_s *= k;
+        report.activity.gpu_ls_util_s *= k;
+        for s in &mut report.spans {
+            s.start_s *= k;
+            s.end_s *= k;
+        }
     }
 }
 

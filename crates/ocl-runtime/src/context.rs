@@ -421,10 +421,21 @@ impl Context {
             }
         }
         let ndr = NDRange { global, local };
-        let mut report = self
-            .device
-            .run(&kernel.program, &bindings, &mut self.pool, ndr)
-            .map_err(ClError::from)?;
+        // Simulated through the launch memo (an identical earlier launch in
+        // this process hands over its report and written buffers); the DVFS
+        // throttle is rolled per launch afterwards, as `MaliT604::run` does.
+        let device = &self.device;
+        let mut report = kernel_ir::memo::launch(
+            &device.cfg,
+            &kernel.program,
+            &bindings,
+            &mut self.pool,
+            ndr,
+            |r: &MaliReport| r.spans.len() * std::mem::size_of::<WorkSpan>(),
+            |pool| device.simulate(&kernel.program, &bindings, pool, ndr),
+        )
+        .map_err(ClError::from)?;
+        MaliT604::throttle(&mut report, &kernel.program.name);
         if let Some(reason) = report.sim_serial_reason {
             telemetry::log::debug(&format!(
                 "kernel {}: simulation ran work-groups serially ({reason})",

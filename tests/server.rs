@@ -511,8 +511,11 @@ fn interactive_request_overtakes_queued_bulk_sweeps() {
     .expect("server starts");
     let addr = srv.addr.to_string();
 
-    // Four bulk sweeps with distinct fault seeds: nothing is cached, so
-    // each occupies the single worker for a full-grid evaluation.
+    // Four bulk sweeps with distinct fault seeds: no response is cached,
+    // so each occupies the single worker for a full-grid evaluation. The
+    // launch memo makes every sweep after the first quick, so the
+    // interactive request goes out once the reactor reports bulk sweeps
+    // queued behind the one running, not after a fixed sleep.
     let order: std::sync::Mutex<Vec<String>> = std::sync::Mutex::new(Vec::new());
     std::thread::scope(|scope| {
         for seed in 1..=4u64 {
@@ -525,9 +528,17 @@ fn interactive_request_overtakes_queued_bulk_sweeps() {
                 order.lock().unwrap().push(format!("bulk{seed}"));
             });
         }
-        // Give the bulk sweeps time to be accepted and queued, then send
-        // the interactive request; it must jump the bulk queue.
-        std::thread::sleep(Duration::from_millis(300));
+        // Wait until two bulk sweeps are queued, then send the interactive
+        // request; it must jump the bulk queue. (`/metrics` rides the
+        // interactive lane too, so each poll returns between two sweeps.)
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        while metric(&addr, "sim_server_lane_depth_bulk") < 2 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "bulk sweeps never queued"
+            );
+            std::thread::sleep(Duration::from_millis(2));
+        }
         let (st, _) = request(&addr, "GET", "/healthz", b"", T).unwrap();
         assert_eq!(st, 200);
         order.lock().unwrap().push("interactive".into());

@@ -12,10 +12,9 @@
 //! sizes), because the diagnostics are how a user learns which §III
 //! technique their kernel is missing.
 
-use crate::fold::optimize;
 use crate::unroll::{unroll, UnrollRefusal};
 use crate::vectorize::{vectorize, VectorizeRefusal};
-use kernel_ir::Program;
+use kernel_ir::{Pass, Pipeline, Program};
 
 /// The search space. Width/unroll value `1` means "leave the kernel as
 /// written".
@@ -147,7 +146,8 @@ pub fn transform(base: &Program, c: Candidate) -> Result<(Program, usize), Candi
     }
     // Clean up what the transformations exposed (folded immediates, dead
     // index chains) before the candidate is costed.
-    Ok((optimize(&p), divisor))
+    let cleanup = Pipeline::of(&[Pass::ConstFold, Pass::Dce]);
+    Ok((cleanup.run(&p), divisor))
 }
 
 /// Run the search. The evaluation closure receives the transformed

@@ -16,19 +16,17 @@
 //! | Vector sizes | [`tuning::VECTOR_WIDTH_CANDIDATES`] + sweep |
 //! | Loop unrolling | [`unroll::unroll`] |
 //! | Empirical autotuning (the §III close / Phothilimthana et al. direction) | [`autotune::autotune`] |
-//! | Constant folding + DCE (what `const` licenses the compiler to do) | [`fold::optimize`] |
+//! | Constant folding + DCE (what `const` licenses the compiler to do) | [`kernel_ir::opt`] `cf,dce` ([`kernel_ir::Pipeline`]) |
 //! | Data organization (AOS→SOA) | [`layout`] |
 //! | Directives & type qualifiers | [`kernel_ir::Hints`], honoured by the `ocl-runtime` compiler |
 
 pub mod autotune;
-pub mod fold;
 pub mod layout;
 pub mod tuning;
 pub mod unroll;
 pub mod vectorize;
 
 pub use autotune::{autotune, AutotuneResult, Candidate, CandidateSkip, SearchSpace, Trial};
-pub use fold::{eliminate_dead_code, fold_constants, op_count, optimize};
 pub use layout::{aos_flatten, aos_to_soa, soa_to_aos, Particle, ParticlesSoa};
 pub use tuning::{
     guide_global_size, largest_dividing_pow2, local_divides_global, sweep, wg_size_candidates,

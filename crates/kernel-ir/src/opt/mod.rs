@@ -399,7 +399,8 @@ mod exec_tests {
     /// A deliberately redundancy-rich kernel touching every structured
     /// construct: loops (invariants + loop-carried state), an `If`, vector
     /// ops with insert/extract, common subexpressions, folds, identities,
-    /// and power-of-two strength-reduction targets.
+    /// power-of-two strength-reduction targets, dead code, and registers
+    /// read before they are written (which read zero).
     fn gauntlet() -> Program {
         let mut kb = KernelBuilder::new("gauntlet");
         let a = kb.arg_global(Scalar::F32, Access::ReadOnly, true);
@@ -436,6 +437,22 @@ mod exec_tests {
         );
         let qr = kb.mad(q.into(), four.into(), r.into(), VType::scalar(Scalar::U32));
         kb.store(iout, gid.into(), qr.into());
+        // Read before its one write: the read sees zero, not 42.
+        let late = kb.reg(VType::scalar(Scalar::F32));
+        let early = kb.bin(
+            BinOp::Add,
+            late.into(),
+            Operand::ImmF(1.0),
+            VType::scalar(Scalar::F32),
+        );
+        kb.mov_into(late, Operand::ImmF(42.0));
+        // Dead.
+        let _ = kb.bin(
+            BinOp::Sub,
+            early.into(),
+            Operand::ImmF(5.0),
+            VType::scalar(Scalar::F32),
+        );
 
         let x = kb.load(Scalar::F32, a, idx.into());
         let y = kb.load(Scalar::F32, b, idx.into());
@@ -494,31 +511,55 @@ mod exec_tests {
         let vv = kb.vload(Scalar::F32, 4, a, capped.into());
         let lane2 = kb.extract(vv, 2);
         kb.insert_into(vv, lane2.into(), 0);
+        // Inserted into a vector never written before: its other lanes
+        // read zero.
+        let fresh = kb.reg(VType {
+            elem: Scalar::F32,
+            width: 4,
+        });
+        kb.insert_into(fresh, lane2.into(), 1);
+        kb.insert_into(vv, lane2.into(), 3);
+        let fsum = kb.horiz(HorizOp::Add, fresh);
+        kb.insert_into(vv, fsum.into(), 2);
         let hsum = kb.horiz(HorizOp::Add, vv);
 
-        // Divergent tail.
+        // Divergent tail (both arms run). `maybe` is written on one arm
+        // only: the other arm, and the join after it, read its zero.
         let cold = kb.bin(
             BinOp::Lt,
             pos.into(),
-            Operand::ImmF(4.0),
+            Operand::ImmF(0.0),
             VType::scalar(Scalar::F32),
         );
+        let maybe = kb.reg(VType::scalar(Scalar::F32));
         kb.if_then_else(
             cold.into(),
             |kb| {
                 kb.bin_into(acc, BinOp::Add, acc.into(), hsum.into());
+                kb.mov_into(maybe, hsum.into());
             },
             |kb| {
                 kb.bin_into(acc, BinOp::Mul, acc.into(), Operand::ImmF(1.0));
                 kb.bin_into(acc, BinOp::Sub, acc.into(), pos.into());
+                kb.bin_into(acc, BinOp::Add, acc.into(), maybe.into());
             },
         );
+        kb.mad_into(acc, maybe.into(), early.into(), acc.into());
         // Dead store (overwritten below, no read between).
         kb.store(out, gid.into(), Operand::ImmF(-1.0));
         kb.store(out, gid.into(), acc.into());
         let p = kb.finish();
         p.validate().unwrap();
         p
+    }
+
+    /// Static op count, nested bodies included.
+    fn op_count(p: &Program) -> usize {
+        let mut n = 0;
+        for op in &p.body {
+            op.visit(&mut |_| n += 1);
+        }
+        n
     }
 
     fn run(p: &Program, engine: Option<Engine>) -> (Vec<u32>, Vec<u32>) {
@@ -566,6 +607,10 @@ mod exec_tests {
             let opt = pl.run(&p);
             opt.validate()
                 .unwrap_or_else(|e| panic!("pipeline '{pl}' produced invalid IR: {e:?}"));
+            assert!(
+                op_count(&opt) <= op_count(&p),
+                "pipeline '{pl}' added ops\n--- optimized ---\n{opt}"
+            );
             assert_eq!(
                 run(&opt, Some(Engine::Scalar)),
                 baseline_s,
@@ -580,11 +625,10 @@ mod exec_tests {
     }
 
     #[test]
-    fn full_pipeline_shrinks_the_gauntlet_and_counts_it() {
+    fn full_pipeline_and_cf_dce_shrink_the_gauntlet_and_count_it() {
         let p = gauntlet();
-        // Executed-instruction count is the metric that matters: phi copies
-        // at structured joins can grow the *static* stream while hoisting and
-        // folding shrink the per-iteration *dynamic* one.
+        // Executed-instruction count is the metric that matters: hoisting
+        // shrinks the per-iteration *dynamic* stream, not the static one.
         fn executed_ops(p: &Program) -> u64 {
             let mut pool = MemoryPool::new();
             let a = pool.add(BufferData::from(vec![0.5f32; N]));
@@ -602,19 +646,61 @@ mod exec_tests {
             run_ndrange(p, &bindings, &mut pool, NDRange::d1(N, LOCAL), &mut t).unwrap();
             t.ops
         }
-        let before_stats = stats();
-        let opt = Pipeline::full().run(&p);
-        let after_stats = stats();
-        let (base_ops, opt_ops) = (executed_ops(&p), executed_ops(&opt));
-        assert!(
-            opt_ops < base_ops,
-            "full pipeline failed to shrink the gauntlet: {base_ops} -> {opt_ops} executed ops\n{opt}"
+        for pl in [Pipeline::full(), Pipeline::parse("cf,dce").unwrap()] {
+            let before_stats = stats();
+            let opt = pl.run(&p);
+            let after_stats = stats();
+            let (base_ops, opt_ops) = (executed_ops(&p), executed_ops(&opt));
+            assert!(
+                opt_ops < base_ops,
+                "'{pl}' failed to shrink the gauntlet: {base_ops} -> {opt_ops} executed ops\n{opt}"
+            );
+            assert!(
+                after_stats.total_rewrites() > before_stats.total_rewrites(),
+                "pass counters did not move"
+            );
+            assert!(after_stats.programs > before_stats.programs);
+        }
+    }
+
+    #[test]
+    fn integer_division_by_zero_still_traps_at_run_time() {
+        let mut kb = KernelBuilder::new("dz");
+        let o = kb.arg_global(Scalar::I32, Access::ReadWrite, false);
+        let a = kb.mov(Operand::ImmI(4), VType::scalar(Scalar::I32));
+        let d = kb.bin(
+            BinOp::Div,
+            a.into(),
+            Operand::ImmI(0),
+            VType::scalar(Scalar::I32),
         );
-        assert!(
-            after_stats.total_rewrites() > before_stats.total_rewrites(),
-            "pass counters did not move"
-        );
-        assert!(after_stats.programs > before_stats.programs);
+        let gid = kb.query_global_id(0);
+        kb.store(o, gid.into(), d.into());
+        let p = kb.finish();
+        let mut pipelines: Vec<Pipeline> =
+            Pass::ALL.iter().map(|&pa| Pipeline::of(&[pa])).collect();
+        pipelines.push(Pipeline::full());
+        for pl in pipelines {
+            // Optimizing must not fault at compile time...
+            let opt = pl.run(&p);
+            // ...and the fault must still happen at run time.
+            let faulted = std::panic::catch_unwind(|| {
+                let mut pool = MemoryPool::new();
+                let out = pool.add(BufferData::zeroed(Scalar::I32, 1));
+                let nd = NDRange::d1(1, 1);
+                run_ndrange(
+                    &opt,
+                    &[ArgBinding::Global(out)],
+                    &mut pool,
+                    nd,
+                    &mut NullTracer,
+                )
+            });
+            assert!(
+                !matches!(faulted, Ok(Ok(_))),
+                "'{pl}' lost the division-by-zero fault:\n{opt}"
+            );
+        }
     }
 
     #[test]
@@ -631,5 +717,15 @@ mod exec_tests {
         let o1 = Pipeline::full().run(&p);
         let o2 = Pipeline::full().run(&p);
         assert_eq!(o1, o2, "same pipeline, same input, different output");
+        // A cleanup is idempotent: a second `cf,dce` finds nothing to do.
+        let cf_dce = Pipeline::parse("cf,dce").unwrap();
+        let once = cf_dce.run(&p);
+        let twice = cf_dce.run(&once);
+        assert_eq!(
+            op_count(&once),
+            op_count(&twice),
+            "cf,dce is not at a fixed point"
+        );
+        assert_eq!(run(&once, None), run(&twice, None));
     }
 }

@@ -358,10 +358,8 @@ fn propagate_into(kind: &mut InstKind, vals: &[Option<Value>], f: &Ssa, n: &mut 
             prop(a, vals, n);
             prop(b, vals, n);
         }
-        InstKind::Insert { vec, v, .. } => {
-            prop(vec, vals, n);
-            prop(v, vals, n);
-        }
+        // The source vector stays a value, like a phi argument (below).
+        InstKind::Insert { v, .. } => prop(v, vals, n),
         InstKind::Load { idx, .. } => prop_idx(idx, vals, n),
         InstKind::VLoad { base, .. } => prop_idx(base, vals, n),
         InstKind::Store { idx, val, .. } => {
@@ -380,11 +378,6 @@ fn propagate_into(kind: &mut InstKind, vals: &[Option<Value>], f: &Ssa, n: &mut 
             prop_idx(idx, vals, n);
             prop(val, vals, n);
         }
-        InstKind::Phi { args } => {
-            for (_, a) in args {
-                prop(a, vals, n);
-            }
-        }
         InstKind::LoopBounds { start, end, step } => {
             prop(start, vals, n);
             prop(end, vals, n);
@@ -398,8 +391,12 @@ fn propagate_into(kind: &mut InstKind, vals: &[Option<Value>], f: &Ssa, n: &mut 
             }
         }
         // Horiz/Extract/VStore-val/Cast sources and If/Select conditions
-        // must remain registers.
+        // must remain registers. Phi arguments stay values: lowering
+        // coalesces them with the phi, and an immediate argument would
+        // turn that free copy into a move while its old definition stays.
+        // An `Insert` source vector is coalesced the same way.
         InstKind::Cast { .. }
+        | InstKind::Phi { .. }
         | InstKind::Horiz { .. }
         | InstKind::Extract { .. }
         | InstKind::IfCond { .. }
@@ -472,6 +469,11 @@ fn algebraic_round(f: &mut Ssa, c: &mut PassCounters) -> bool {
     for b in 0..f.blocks.len() {
         for i in 0..f.blocks[b].insts.len() {
             let v = f.blocks[b].insts[i];
+            // Phi arguments keep their copies: lowering coalesces a copy
+            // with the phi, while its source may be live across the edge.
+            if matches!(f.insts[v].kind, InstKind::Phi { .. }) {
+                continue;
+            }
             let mut kind = std::mem::replace(&mut f.insts[v].kind, InstKind::Barrier);
             for o in Ssa::operands_mut(&mut kind) {
                 if let VOp::Val(u) = o {

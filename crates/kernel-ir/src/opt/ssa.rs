@@ -25,16 +25,21 @@
 //! algorithm, phis are placed at iterated dominance frontiers (the
 //! `ssaconstructor` recipe), and renaming is the standard dominator-tree
 //! walk with per-register stacks. A register read before any write becomes
-//! an [`InstKind::Undef`] value, which lowers to a fresh never-written
-//! register — the engines zero-initialize the register file, so this
-//! reproduces the original read-of-zero exactly.
+//! an [`InstKind::Undef`] value, defined before the entry block: its
+//! register is never written on any path to its reads — the engines
+//! zero-initialize the register file, so this reproduces the original
+//! read-of-zero exactly.
 //!
-//! Lowering assigns one fresh register per surviving value, emits phi moves
-//! at predecessor exits with parallel-copy sequentialization (a cycle among
-//! the moves is broken with a temporary), re-fuses single-use `Insert`
-//! chains back into in-place read-modify-write form, and finally
-//! [`compact_registers`] shrinks the register file with a liveness-interval
-//! scan that mirrors `Program::register_footprint`.
+//! Lowering coalesces values into congruence classes and gives each class
+//! one register: a phi, its arguments and each `Insert` source (the vector
+//! an in-place read-modify-write `Insert` updates) share a register unless
+//! their live ranges interfere on this CFG. Only copies between classes
+//! survive — phi moves at predecessor exits, with parallel-copy
+//! sequentialization (a cycle among the moves is broken with a temporary),
+//! and a source copy in front of an `Insert` — so a pipeline that rewrites
+//! nothing lowers to the ops it was given. Finally [`compact_registers`]
+//! shrinks the register file with a liveness-interval scan that mirrors
+//! `Program::register_footprint`.
 
 use crate::instr::{ArgDecl, ArgIdx, AtomicOp, BinOp, Builtin, HorizOp, Op, Operand, Reg, UnOp};
 use crate::program::Program;
@@ -1015,53 +1020,27 @@ impl std::fmt::Display for Ssa {
 // ---------------------------------------------------------------------------
 
 impl Ssa {
-    /// Lower back to the structured register IR. Dead phis are pruned;
-    /// every surviving value gets a fresh register; single-use `Insert`
-    /// sources coalesce back into in-place read-modify-write form.
+    /// Lower back to the structured register IR. Dead phis are pruned; the
+    /// surviving values are coalesced into congruence classes
+    /// ([`Ssa::coalesce`]) and every class gets one register, so a phi
+    /// copy or an `Insert` source copy is emitted only where its two
+    /// values really interfere.
     pub fn lower(&mut self) -> Program {
         self.prune_dead_phis();
+        let class = self.coalesce();
 
-        // Use counts over the surviving instructions (phi args included).
-        let mut uses = vec![0usize; self.insts.len()];
-        for blk in &self.blocks {
-            for &v in &blk.insts {
-                for o in Self::operands(&self.insts[v].kind) {
-                    if let VOp::Val(u) = o {
-                        uses[u] += 1;
-                    }
-                }
-            }
-        }
-
-        // Register assignment: one fresh register per value, in block/inst
-        // order (defs always precede uses in that order — dominators are
-        // created before the blocks they dominate).
+        // One register per class, numbered in block/inst order.
         let mut regs: Vec<VType> = Vec::new();
         let mut reg_of: Vec<Option<Reg>> = vec![None; self.insts.len()];
-        for b in 0..self.blocks.len() {
-            for i in 0..self.blocks[b].insts.len() {
-                let v = self.blocks[b].insts[i];
+        let mut class_reg: Vec<Option<Reg>> = vec![None; self.insts.len()];
+        for blk in &self.blocks {
+            for &v in &blk.insts {
                 let Some(ty) = self.insts[v].ty else { continue };
-                if let InstKind::Insert {
-                    vec: VOp::Val(s), ..
-                } = self.insts[v].kind
-                {
-                    // Re-fuse into RMW form when the copied vector dies
-                    // here: write the source's register in place. Only
-                    // within one block — a source defined outside a loop
-                    // body would otherwise be clobbered on iteration 1 and
-                    // re-read already-modified on iteration 2.
-                    if uses[s] == 1
-                        && self.insts[s].block == self.insts[v].block
-                        && !matches!(self.insts[s].kind, InstKind::Undef)
-                        && reg_of[s].is_some()
-                    {
-                        reg_of[v] = reg_of[s];
-                        continue;
-                    }
-                }
-                reg_of[v] = Some(Reg(regs.len() as u32));
-                regs.push(ty);
+                let r = *class_reg[class[v]].get_or_insert_with(|| {
+                    regs.push(ty);
+                    Reg(regs.len() as u32 - 1)
+                });
+                reg_of[v] = Some(r);
             }
         }
 
@@ -1116,6 +1095,284 @@ impl Ssa {
             blk.insts
                 .retain(|&v| live[v] || !matches!(self.insts[v].kind, InstKind::Phi { .. }));
         }
+    }
+}
+
+/// A fixed-size bit set over value ids (and edge-copy ids after them).
+#[derive(Clone, PartialEq)]
+struct Bits(Vec<u64>);
+
+impl Bits {
+    fn new(n: usize) -> Bits {
+        Bits(vec![0; n.div_ceil(64)])
+    }
+
+    fn get(&self, i: usize) -> bool {
+        self.0[i / 64] >> (i % 64) & 1 == 1
+    }
+
+    fn set(&mut self, i: usize) {
+        self.0[i / 64] |= 1 << (i % 64);
+    }
+
+    fn clear(&mut self, i: usize) {
+        self.0[i / 64] &= !(1 << (i % 64));
+    }
+
+    fn union(&mut self, o: &Bits) {
+        for (a, b) in self.0.iter_mut().zip(&o.0) {
+            *a |= b;
+        }
+    }
+
+    fn ones(&self) -> Vec<usize> {
+        let mut out = Vec::new();
+        for (w, &word) in self.0.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                out.push(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+        out
+    }
+}
+
+impl Ssa {
+    /// Values live on entry to each block, as bit sets of width `width`.
+    /// A phi is defined at its block's start and its arguments are used at
+    /// the end of their predecessors; an `Undef` is defined before the
+    /// entry block.
+    fn live_in(&self, width: usize) -> Vec<Bits> {
+        let nb = self.blocks.len();
+        let mut gen = vec![Bits::new(width); nb];
+        let mut kill = vec![Bits::new(width); nb];
+        let mut phi_uses = vec![Bits::new(width); nb];
+        for (b, blk) in self.blocks.iter().enumerate() {
+            for &v in &blk.insts {
+                match &self.insts[v].kind {
+                    InstKind::Phi { args } => {
+                        kill[b].set(v);
+                        for &(pred, a) in args {
+                            if let VOp::Val(u) = a {
+                                phi_uses[pred].set(u);
+                            }
+                        }
+                    }
+                    InstKind::Undef => {}
+                    kind => {
+                        for o in Self::operands(kind) {
+                            if let VOp::Val(u) = o {
+                                if !kill[b].get(u) {
+                                    gen[b].set(u);
+                                }
+                            }
+                        }
+                        if self.insts[v].ty.is_some() {
+                            kill[b].set(v);
+                        }
+                    }
+                }
+            }
+        }
+        let mut live_in = gen.clone();
+        loop {
+            let mut changed = false;
+            for &b in self.rpo.iter().rev() {
+                let mut live = phi_uses[b].clone();
+                for &s in &self.blocks[b].succs {
+                    live.union(&live_in[s]);
+                }
+                for (w, word) in live.0.iter_mut().enumerate() {
+                    *word = gen[b].0[w] | (*word & !kill[b].0[w]);
+                }
+                if live != live_in[b] {
+                    live_in[b] = live;
+                    changed = true;
+                }
+            }
+            if !changed {
+                return live_in;
+            }
+        }
+    }
+
+    /// Coalesce values into congruence classes that can share one register,
+    /// in the style of Boissinot et al., "Revisiting Out-of-SSA
+    /// Translation for Correctness, Code Quality, and Efficiency" (CGO
+    /// 2009), over liveness on this CFG. Returns each value's class id.
+    ///
+    /// Every phi starts in a class with one *edge copy* per predecessor:
+    /// the move lowering would emit at the end of that predecessor, in
+    /// parallel with the edge's other copies. Then each phi argument and
+    /// each `Insert` source (the register an RMW `Insert` updates in place)
+    /// is merged into its destination's class unless a member of one class
+    /// interferes with a member of the other.
+    /// A merged argument's copy becomes a self-move, which lowering drops;
+    /// a copy survives only where the two values are live at once — after
+    /// `cse` or `licm` stretched one of them, for instance.
+    fn coalesce(&self) -> Vec<usize> {
+        let n = self.insts.len();
+        // Edge copies `(phi, predecessor, argument)`, with ids `n..`.
+        let mut copies: Vec<(ValId, BlockId, VOp)> = Vec::new();
+        for blk in &self.blocks {
+            for &p in &blk.insts {
+                let InstKind::Phi { args } = &self.insts[p].kind else {
+                    break;
+                };
+                copies.extend(args.iter().map(|&(pred, a)| (p, pred, a)));
+            }
+        }
+        let total = n + copies.len();
+        let live_in = self.live_in(total);
+
+        // Interference: a definition interferes with everything live just
+        // after it.
+        let mut adj = vec![Bits::new(total); total];
+        let mut edge = |a: usize, b: usize| {
+            if a != b {
+                adj[a].set(b);
+                adj[b].set(a);
+            }
+        };
+        for (b, blk) in self.blocks.iter().enumerate() {
+            // Live after the block's edge copies: the successors' live-ins,
+            // plus a loop's bounds, which the `For` reads after its
+            // preheader's copies.
+            let mut live = Bits::new(total);
+            for &s in &blk.succs {
+                live.union(&live_in[s]);
+            }
+            if let Some(&last) = blk.insts.last() {
+                if let InstKind::LoopBounds { .. } = self.insts[last].kind {
+                    for u in Self::operands(&self.insts[last].kind) {
+                        if let VOp::Val(u) = u {
+                            live.set(u);
+                        }
+                    }
+                }
+            }
+            // A copy holds its argument's value, so it does not interfere
+            // with the argument itself.
+            let edge_copies: Vec<usize> = (0..copies.len())
+                .filter(|&i| copies[i].1 == b)
+                .map(|i| n + i)
+                .collect();
+            for &c in &edge_copies {
+                let src = copies[c - n].2.as_val();
+                for x in live.ones() {
+                    if Some(x) != src {
+                        edge(c, x);
+                    }
+                }
+                for &d in &edge_copies {
+                    edge(c, d);
+                }
+            }
+            for &c in &edge_copies {
+                if let VOp::Val(u) = copies[c - n].2 {
+                    live.set(u);
+                }
+            }
+            for &v in blk.insts.iter().rev() {
+                let kind = &self.insts[v].kind;
+                match kind {
+                    InstKind::Phi { .. } => break,
+                    InstKind::Undef => continue,
+                    _ => {}
+                }
+                if self.insts[v].ty.is_some() {
+                    live.clear(v);
+                    for x in live.ones() {
+                        edge(v, x);
+                    }
+                    // An `Insert` that cannot update its source in place
+                    // copies the source into its own register first, so its
+                    // lane value must not live there.
+                    if let InstKind::Insert { v: VOp::Val(x), .. } = kind {
+                        edge(v, *x);
+                    }
+                }
+                for o in Self::operands(kind) {
+                    if let VOp::Val(u) = o {
+                        live.set(u);
+                    }
+                }
+            }
+            // A block's phis are all defined at its start; `Undef`s are all
+            // defined before the entry block.
+            let defined_together: Vec<ValId> = if b == 0 {
+                live.ones()
+            } else {
+                blk.insts
+                    .iter()
+                    .copied()
+                    .take_while(|&v| matches!(self.insts[v].kind, InstKind::Phi { .. }))
+                    .collect()
+            };
+            for &p in &defined_together {
+                live.clear(p);
+            }
+            for &p in &defined_together {
+                for x in live.ones() {
+                    edge(p, x);
+                }
+                for &q in &defined_together {
+                    edge(p, q);
+                }
+            }
+        }
+
+        // Union-find over classes; a root's `adj` row is the union of its
+        // members' rows.
+        let ty_of = |x: usize| {
+            let v = if x < n { x } else { copies[x - n].0 };
+            self.insts[v].ty
+        };
+        let mut parent: Vec<usize> = (0..total).collect();
+        let mut members: Vec<Vec<usize>> = (0..total).map(|x| vec![x]).collect();
+        fn find(parent: &mut [usize], mut x: usize) -> usize {
+            while parent[x] != x {
+                parent[x] = parent[parent[x]];
+                x = parent[x];
+            }
+            x
+        }
+        let mut merge = |a: usize, b: usize| -> bool {
+            let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
+            if ra == rb {
+                return true;
+            }
+            if ty_of(ra) != ty_of(rb) || members[rb].iter().any(|&m| adj[ra].get(m)) {
+                return false;
+            }
+            parent[rb] = ra;
+            let moved = std::mem::take(&mut members[rb]);
+            members[ra].extend(moved);
+            let row = std::mem::replace(&mut adj[rb], Bits::new(0));
+            adj[ra].union(&row);
+            true
+        };
+        for (i, &(p, _, _)) in copies.iter().enumerate() {
+            let merged = merge(p, n + i);
+            debug_assert!(merged, "a phi interferes with its own edge copy");
+        }
+        for &(p, _, a) in &copies {
+            if let VOp::Val(u) = a {
+                merge(u, p);
+            }
+        }
+        for blk in &self.blocks {
+            for &v in &blk.insts {
+                if let InstKind::Insert {
+                    vec: VOp::Val(s), ..
+                } = self.insts[v].kind
+                {
+                    merge(s, v);
+                }
+            }
+        }
+        (0..n).map(|v| find(&mut parent, v)).collect()
     }
 }
 
@@ -1373,10 +1630,11 @@ impl Lowering<'_> {
 /// Shrink a lowered program's register file by interval reuse: registers
 /// with disjoint live ranges (over the same linearized walk
 /// `Program::register_footprint` uses, with its loop back-edge extension)
-/// and identical declared types share one register. Registers read before
-/// any write keep a private register in both directions — their reads must
-/// observe the engine's zero-initialization. Unreferenced registers are
-/// dropped.
+/// and identical declared types share one register. A register that some
+/// path reads before writing it (lowering coalesces a never-written value
+/// with the values written on other paths) keeps a private register in
+/// both directions — those reads must observe the engine's
+/// zero-initialization. Unreferenced registers are dropped.
 pub(crate) fn compact_registers(p: &Program) -> Program {
     let n = p.regs.len();
     if n == 0 {
@@ -1385,7 +1643,11 @@ pub(crate) fn compact_registers(p: &Program) -> Program {
     struct W {
         first: Vec<usize>,
         last: Vec<usize>,
-        read_first: Vec<bool>,
+        /// Read at some point where a path from the entry leaves it
+        /// unwritten.
+        read_unwritten: Vec<bool>,
+        /// Written on every path to the current point.
+        written: Vec<bool>,
         pos: usize,
     }
     impl W {
@@ -1393,9 +1655,13 @@ pub(crate) fn compact_registers(p: &Program) -> Program {
             let i = r.0 as usize;
             if self.first[i] == usize::MAX {
                 self.first[i] = self.pos;
-                self.read_first[i] = is_read;
             }
             self.last[i] = self.pos;
+            if !is_read {
+                self.written[i] = true;
+            } else if !self.written[i] {
+                self.read_unwritten[i] = true;
+            }
         }
         fn read(&mut self, o: &Operand) {
             if let Operand::Reg(r) = o {
@@ -1443,8 +1709,13 @@ pub(crate) fn compact_registers(p: &Program) -> Program {
                     }
                     Op::If { cond, then, els } => {
                         self.read(cond);
+                        let before = self.written.clone();
                         self.walk(then);
+                        let after_then = std::mem::replace(&mut self.written, before);
                         self.walk(els);
+                        for (w, t) in self.written.iter_mut().zip(after_then) {
+                            *w &= t;
+                        }
                         continue;
                     }
                     Op::For {
@@ -1457,12 +1728,15 @@ pub(crate) fn compact_registers(p: &Program) -> Program {
                         self.read(start);
                         self.read(end);
                         self.read(step);
+                        let before = self.written.clone();
                         self.touch(*var, false);
                         let loop_start = self.pos;
                         self.walk(body);
                         self.pos += 1;
                         self.touch(*var, false);
                         let loop_end = self.pos;
+                        // The loop may run zero times.
+                        self.written = before;
                         // Back-edge: values live across the loop entry stay
                         // live (and thus unshareable) to the loop's end.
                         for i in 0..self.first.len() {
@@ -1486,7 +1760,8 @@ pub(crate) fn compact_registers(p: &Program) -> Program {
     let mut w = W {
         first: vec![usize::MAX; n],
         last: vec![0; n],
-        read_first: vec![false; n],
+        read_unwritten: vec![false; n],
+        written: vec![false; n],
         pos: 0,
     };
     w.walk(&p.body);
@@ -1505,7 +1780,7 @@ pub(crate) fn compact_registers(p: &Program) -> Program {
     let mut map: Vec<u32> = vec![u32::MAX; n];
     for &i in &order {
         let ty = p.regs[i];
-        if w.read_first[i] {
+        if w.read_unwritten[i] {
             map[i] = slots.len() as u32;
             slots.push(Slot {
                 ty,
@@ -1663,5 +1938,70 @@ pub(crate) fn compact_registers(p: &Program) -> Program {
         regs: slots.iter().map(|s| s.ty).collect(),
         body: remap_body(&p.body, &remap, &ro),
         hints: p.hints,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::exec::{run_ndrange, ArgBinding, NDRange};
+    use crate::memory::{BufferData, MemoryPool};
+    use crate::prelude::KernelBuilder;
+    use crate::trace::NullTracer;
+    use crate::types::{Access, Scalar};
+
+    #[test]
+    fn a_loop_reads_its_bounds_after_the_preheader_copies() {
+        // r = 5; for j in 0..1 { for i in 0..r { r += 1 } }; out = r.
+        let u32s = VType::scalar(Scalar::U32);
+        let mut kb = KernelBuilder::new("bounds");
+        let o = kb.arg_global(Scalar::U32, Access::WriteOnly, false);
+        let r = kb.mov(Operand::ImmI(5), u32s);
+        kb.for_loop(
+            Operand::ImmI(0),
+            Operand::ImmI(1),
+            Operand::ImmI(1),
+            |kb, _| {
+                kb.for_loop(Operand::ImmI(0), r.into(), Operand::ImmI(1), |kb, _| {
+                    kb.bin_into(r, BinOp::Add, r.into(), Operand::ImmI(1));
+                });
+            },
+        );
+        let gid = kb.query_global_id(0);
+        kb.store(o, gid.into(), r.into());
+        let mut ssa = Ssa::build(&kb.finish());
+
+        // Start the inner loop's `r` at an immediate 0 instead of the outer
+        // phi, which stays the inner loop's bound: the edge copy `r = 0`
+        // then sits between the bound's definition and the `For` that
+        // reads it, so the two must not share a register.
+        let is_phi = |v: ValId| matches!(ssa.insts[v].kind, InstKind::Phi { .. });
+        let (inner, k) = (0..ssa.insts.len())
+            .find_map(|v| match &ssa.insts[v].kind {
+                InstKind::Phi { args } => args
+                    .iter()
+                    .position(|(_, a)| a.as_val().is_some_and(is_phi))
+                    .map(|k| (v, k)),
+                _ => None,
+            })
+            .expect("the inner loop's phi for r");
+        if let InstKind::Phi { args } = &mut ssa.insts[inner].kind {
+            args[k].1 = VOp::ImmI(0);
+        }
+
+        let p = compact_registers(&ssa.lower());
+        p.validate().unwrap();
+        let mut pool = MemoryPool::new();
+        let out = pool.add(BufferData::zeroed(Scalar::U32, 1));
+        let nd = NDRange::d1(1, 1);
+        run_ndrange(
+            &p,
+            &[ArgBinding::Global(out)],
+            &mut pool,
+            nd,
+            &mut NullTracer,
+        )
+        .unwrap();
+        assert_eq!(pool.get(out).as_u32(), &[5], "lowered:\n{p}");
     }
 }

@@ -207,7 +207,8 @@ fn vectorized_random_chain_bit_exact() {
     }
 }
 
-/// The fold/DCE optimizer preserves random-chain semantics bit-exactly.
+/// Constant folding + DCE (`cf,dce`, the cleanup `mali_hpc::autotune` runs
+/// on every candidate) preserves random-chain semantics bit-exactly.
 #[test]
 fn optimizer_random_chain_bit_exact() {
     let mut rng = Pcg32::seed_from_u64(0xF01D);
@@ -215,7 +216,7 @@ fn optimizer_random_chain_bit_exact() {
         let steps = random_steps(&mut rng, 1, 12);
         let input = random_input(&mut rng, 32, 50.0);
         let p = build(&steps);
-        let opt = mali_hpc::fold::optimize(&p);
+        let opt = kernel_ir::Pipeline::parse("cf,dce").unwrap().run(&p);
         assert_eq!(
             bits(&run_interp(&p, &input, 8)),
             bits(&run_interp(&opt, &input, 8)),

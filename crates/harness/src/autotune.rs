@@ -140,7 +140,7 @@ impl AutotuneReport {
         );
         for b in &self.benches {
             s.push_str(&format!(
-                "  {:<10} {:>12} -> {:>12} ops  (-{:.1}%, {:.2}x time)  best: {}\n",
+                "  {:<10} {:>12} -> {:>12} ops  ({:.1}% saved, {:.2}x time)  best: {}\n",
                 b.bench, b.baseline_ops, b.best_ops, b.ops_saved_pct, b.time_speedup, b.best_passes
             ));
         }
@@ -413,5 +413,13 @@ mod tests {
         );
         let json = rep.to_json();
         assert!(json.contains("\"outputs_identical\": true"));
+        // A kernel with nothing to save reads "0.0% saved", never "-0.0%".
+        let summary = rep.summary();
+        assert!(
+            rep.benches.iter().any(|b| b.ops_saved_pct == 0.0),
+            "{summary}"
+        );
+        assert!(summary.contains("(0.0% saved, "), "{summary}");
+        assert!(!summary.contains("-0.0%"), "{summary}");
     }
 }

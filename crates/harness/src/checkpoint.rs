@@ -1,49 +1,41 @@
-//! `suite.state` — the crash-safe sweep checkpoint.
+//! Cell identity and the cell payload codec.
 //!
-//! A dependency-free, line-oriented text format: one `meta` header line
-//! identifying the suite (state tag, fault seed, benchmark list) and one
-//! `cell` line per completed cell, fully serializing the [`CellEntry`] —
-//! floats as IEEE-754 bit patterns in hex so the round trip is exact and a
-//! resumed run's artifacts are byte-identical to an uninterrupted one.
+//! [`cell_spec`] normalizes a sweep cell into its canonical
+//! [`CellSpec`]; [`encode_entry`]/[`decode_entry`] serialize a finished
+//! [`CellEntry`] as one `|`-joined token line — floats as IEEE-754 bit
+//! patterns in hex, so the round trip is exact and a resumed or served
+//! cell is byte-identical to a freshly simulated one.
 //!
-//! The token-level codec (percent escaping, float bit patterns, the
-//! [`Tokens`] reader) lives in [`sim_server::key`] and is shared with the
-//! server's cache snapshot format. Since `simstate v2` every cell line
-//! also carries the cell's content address ([`CellKey`], derived from the
-//! header identity via [`cell_spec`]) as an integrity column: the loader
-//! recomputes it and drops lines whose stored key disagrees, and the
-//! serving layer warm-starts its content-addressed cache directly from
-//! checkpoint files because both speak the same key space. `simstate v3`
-//! added the optimizer pipeline to the header identity (a sweep run under
-//! `cf,cse,dce` is a different sweep than the unoptimized one) and the
-//! per-cell output digest to the cell payload.
-//!
-//! The file is rewritten atomically (temp + rename) after every completed
-//! cell and the lines are kept sorted, so the on-disk bytes are a pure
-//! function of the *set* of finished cells, independent of completion
-//! order and thread count. Corrupt or unknown lines are skipped on load:
-//! a damaged checkpoint costs rework, never a crash.
+//! There is one on-disk cell format, `simcache v1`
+//! ([`sim_server::cache::Cache::snapshot`]): one `key|canonical
+//! spec|payload` line per cell. The `--state` sweep checkpoint and
+//! `serve --cache` both write it, so a checkpoint is served as a cache
+//! and a server's cache file resumes a sweep. Reuse is decided by the
+//! key alone: scale, fault seed, pass pipeline and [`MODEL_VERSION`]
+//! are all in it, so a file written under another configuration or by
+//! another model reuses no cell.
 
-use crate::artifact::atomic_write;
-use crate::runner::{Cell, CellCoord, CellEntry, CellError, FailKind};
+use crate::runner::{Cell, CellEntry, CellError, FailKind};
 use hpc_kernels::{Precision, RunOutcome, RunSkip, Variant};
 use powersim::{Activity, Measurement};
-use sim_server::key::{esc, fbits, unesc, CellKey, CellSpec, Tokens};
-use std::collections::HashMap;
-use std::io;
-use std::path::Path;
+use sim_server::key::{esc, fbits, unesc, CellSpec, Tokens};
 use telemetry::{CommandSpan, Counters, RunTelemetry, WorkSpan};
-
-const MAGIC: &str = "simstate v3";
 
 /// Device fingerprint of the simulated platform, part of every cell key.
 pub const DEVICE: &str = "exynos5250";
 
-/// Build the canonical [`CellSpec`] for one cell of a sweep identified by
-/// `(tag, fault_seed)` — the same identity the checkpoint header pins.
-/// This is the single place where harness domain types (variant labels
-/// with spaces, [`Precision`]) are normalized into the wire/key form, so
-/// the checkpoint, the server cache and the HTTP API cannot drift apart.
+/// Version of the simulation model, part of every cell key. Bump it in
+/// any change that alters the bytes of some cell (timing, energy,
+/// counters, digests, skip or failure rows): old `simcache` files then
+/// stop answering for the new model instead of serving stale bytes. The
+/// golden digests in `tests/cell_identity.rs` fail until it is bumped.
+pub const MODEL_VERSION: &str = "1";
+
+/// Build the canonical [`CellSpec`] for one cell of a sweep at scale
+/// `tag` under `fault_seed` and `passes`. This is the single place where
+/// harness domain types (variant labels with spaces, [`Precision`]) are
+/// normalized into the wire/key form, so the checkpoint, the server
+/// cache and the HTTP API cannot drift apart.
 pub fn cell_spec(
     tag: &str,
     fault_seed: Option<u64>,
@@ -53,7 +45,7 @@ pub fn cell_spec(
     prec: Precision,
 ) -> CellSpec {
     CellSpec {
-        sim_version: env!("CARGO_PKG_VERSION").to_string(),
+        sim_version: MODEL_VERSION.to_string(),
         device: DEVICE.to_string(),
         scale: tag.to_string(),
         bench: bench.to_string(),
@@ -61,41 +53,7 @@ pub fn cell_spec(
         precision: crate::runner::prec_key(prec),
         fault_seed,
         passes: passes.map(str::to_string),
-        params: Vec::new(),
     }
-}
-
-/// [`cell_spec`] addressed by coordinate tuple (precision already in
-/// bits), as stored in [`crate::runner::SuiteResults::cells`].
-pub fn coord_spec(
-    tag: &str,
-    fault_seed: Option<u64>,
-    passes: Option<&str>,
-    coord: &CellCoord,
-) -> Option<CellSpec> {
-    let prec = match coord.2 {
-        32 => Precision::F32,
-        64 => Precision::F64,
-        _ => return None,
-    };
-    Some(cell_spec(tag, fault_seed, passes, &coord.0, coord.1, prec))
-}
-
-/// Identity of the sweep a checkpoint belongs to. Loaded state is only
-/// reused when the whole header matches the resuming run.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct StateHeader {
-    /// Suite scale tag ("paper" / "test").
-    pub tag: String,
-    /// Fault-plan seed of the run, if chaos was enabled.
-    pub fault_seed: Option<u64>,
-    /// Optimizer pipeline pinned for the sweep (comma-separated
-    /// [`kernel_ir::opt::Pipeline`] form), if any. Part of the identity:
-    /// cells measured under different pass pipelines are never
-    /// interchangeable, even when their outputs agree bit for bit.
-    pub passes: Option<String>,
-    /// Benchmark names, in suite order.
-    pub benches: Vec<String>,
 }
 
 /// `CommandSpan::cat` is a `&'static str`; map the stored string back to
@@ -332,10 +290,6 @@ fn read_cell(t: &mut Tokens) -> Option<Cell> {
     })
 }
 
-fn variant_index(v: Variant) -> usize {
-    Variant::ALL.iter().position(|x| *x == v).unwrap()
-}
-
 fn push_entry(t: &mut Vec<String>, entry: &CellEntry) {
     match entry {
         CellEntry::Ok(cell) => {
@@ -384,9 +338,8 @@ fn read_entry(t: &mut Tokens) -> Option<CellEntry> {
 }
 
 /// Serialize one [`CellEntry`] as a standalone '|'-joined token string —
-/// the payload format of the checkpoint's cell lines *and* of the
-/// server's content-addressed cache, so a cached cell and a checkpointed
-/// cell are byte-identical.
+/// the payload of a `simcache` line, whether a sweep checkpoint or the
+/// server wrote it.
 pub fn encode_entry(entry: &CellEntry) -> String {
     let mut t = Vec::new();
     push_entry(&mut t, entry);
@@ -398,183 +351,37 @@ pub fn decode_entry(s: &str) -> Option<CellEntry> {
     read_entry(&mut Tokens::new(s))
 }
 
-fn entry_line(header: &StateHeader, coord: &CellCoord, entry: &CellEntry) -> String {
-    let keyhex = coord_spec(
-        &header.tag,
-        header.fault_seed,
-        header.passes.as_deref(),
-        coord,
-    )
-    .map(|s| s.key().to_string())
-    .unwrap_or_else(|| "-".into());
-    let (bench, v, prec) = coord;
-    let mut t = vec![
-        "cell".to_string(),
-        keyhex,
-        esc(bench),
-        variant_index(*v).to_string(),
-        prec.to_string(),
-    ];
-    push_entry(&mut t, entry);
-    t.join("|")
-}
-
-fn parse_entry(header: &StateHeader, line: &str) -> Option<(CellCoord, CellEntry)> {
-    let mut t = Tokens::new(line);
-    if t.str()? != "cell" {
-        return None;
-    }
-    let stored: CellKey = t.str()?.parse().ok()?;
-    let bench = t.string()?;
-    let v = *Variant::ALL.get(t.usize()?)?;
-    let prec = t.str()?.parse::<u8>().ok()?;
-    let coord = (bench, v, prec);
-    // Integrity column: the stored content address must match the one this
-    // header derives for the coordinates. A mismatch means the line was
-    // edited, spliced in from another sweep, or produced by a different
-    // simulator version — recompute rather than trust it.
-    if coord_spec(
-        &header.tag,
-        header.fault_seed,
-        header.passes.as_deref(),
-        &coord,
-    )?
-    .key()
-        != stored
-    {
-        return None;
-    }
-    let entry = read_entry(&mut t)?;
-    Some((coord, entry))
-}
-
-fn meta_line(h: &StateHeader) -> String {
-    format!(
-        "meta|{}|{}|{}|{}",
-        esc(&h.tag),
-        h.fault_seed.map(|s| s.to_string()).unwrap_or("-".into()),
-        h.passes.as_deref().map(esc).unwrap_or_else(|| "-".into()),
-        h.benches
-            .iter()
-            .map(|b| esc(b))
-            .collect::<Vec<_>>()
-            .join(",")
-    )
-}
-
-fn parse_meta(line: &str) -> Option<StateHeader> {
-    let mut t = Tokens::new(line);
-    if t.str()? != "meta" {
-        return None;
-    }
-    let tag = t.string()?;
-    let fault_seed = match t.str()? {
-        "-" => None,
-        s => Some(s.parse().ok()?),
-    };
-    let passes = match t.str()? {
-        "-" => None,
-        s => Some(unesc(s)?),
-    };
-    let benches = match t.str()? {
-        "" => Vec::new(),
-        s => s.split(',').map(unesc).collect::<Option<Vec<String>>>()?,
-    };
-    Some(StateHeader {
-        tag,
-        fault_seed,
-        passes,
-        benches,
-    })
-}
-
-/// Serialize the whole state (header + every finished cell) and write it
-/// atomically. Lines are sorted so the bytes depend only on the set of
-/// finished cells, not on completion order.
-pub fn save(
-    path: &Path,
-    header: &StateHeader,
-    entries: &HashMap<CellCoord, CellEntry>,
-) -> io::Result<()> {
-    let mut lines: Vec<String> = entries
-        .iter()
-        .map(|(k, e)| entry_line(header, k, e))
-        .collect();
-    lines.sort_unstable();
-    let mut out = String::new();
-    out.push_str(MAGIC);
-    out.push('\n');
-    out.push_str(&meta_line(header));
-    out.push('\n');
-    for l in &lines {
-        out.push_str(l);
-        out.push('\n');
-    }
-    atomic_write(path, out.as_bytes())
-}
-
-/// Load a checkpoint. Returns `None` when the file is missing or its
-/// magic/header is unreadable; individual corrupt cell lines (e.g. a
-/// truncated tail) are silently dropped — they just get recomputed.
-pub fn load(path: &Path) -> Option<(StateHeader, HashMap<CellCoord, CellEntry>)> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let mut lines = text.lines();
-    if lines.next()? != MAGIC {
-        return None;
-    }
-    let header = parse_meta(lines.next()?)?;
-    let mut entries = HashMap::new();
-    for line in lines {
-        if let Some((k, e)) = parse_entry(&header, line) {
-            entries.insert(k, e);
-        }
-    }
-    Some((header, entries))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::runner::run_suite;
-
-    fn tmp(name: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("harness-ckpt-{name}-{}", std::process::id()))
-    }
+    use sim_server::cache::Cache;
 
     #[test]
-    fn escaping_round_trips() {
-        for s in ["plain", "a|b,c%d", "line\nbreak\r", "", "100%"] {
-            assert_eq!(unesc(&esc(s)).as_deref(), Some(s));
-            assert!(!esc(s).contains('|') || s.is_empty());
-        }
-        assert_eq!(unesc("%zz"), None);
-        assert_eq!(unesc("%7"), None);
-    }
-
-    #[test]
-    fn full_suite_state_round_trips_exactly() {
+    fn a_checkpoint_round_trips_exactly_through_the_cache_format() {
         let results = run_suite(&hpc_kernels::test_suite(), false);
-        let header = StateHeader {
-            tag: "test".into(),
-            fault_seed: Some(42),
-            passes: Some("cf,cse,dce".into()),
-            benches: results.bench_names.clone(),
+        let spec = |(bench, v, prec): &crate::runner::CellCoord| {
+            let prec = if *prec == 32 {
+                Precision::F32
+            } else {
+                Precision::F64
+            };
+            cell_spec("test", Some(42), Some("cf,cse,dce"), bench, *v, prec)
         };
-        let path = tmp("roundtrip");
-        save(&path, &header, &results.cells).unwrap();
-        let (h2, cells2) = load(&path).unwrap();
-        assert_eq!(h2, header);
-        assert_eq!(cells2.len(), results.cells.len());
-        // Byte-exact: serializing the loaded state reproduces the file.
-        let path2 = tmp("roundtrip2");
-        save(&path2, &h2, &cells2).unwrap();
-        assert_eq!(
-            std::fs::read(&path).unwrap(),
-            std::fs::read(&path2).unwrap()
-        );
+        let mut cache = Cache::new(usize::MAX);
+        for (coord, entry) in &results.cells {
+            cache.insert(spec(coord), encode_entry(entry));
+        }
+        let bytes = cache.snapshot();
+        let mut back = Cache::new(usize::MAX);
+        let n = back.restore(&bytes, |p| decode_entry(p).is_some());
+        assert_eq!(n, Some(results.cells.len()));
+        // Byte-exact: serializing the restored cells reproduces the file.
+        assert_eq!(back.snapshot(), bytes);
         // Spot-check bit-exact floats through the round trip.
         for (k, e) in &results.cells {
-            match (e, &cells2[k]) {
+            let payload = &back.peek(spec(k).key()).expect("cell restored").payload;
+            match (e, &decode_entry(payload).unwrap()) {
                 (CellEntry::Ok(a), CellEntry::Ok(b)) => {
                     assert_eq!(a.outcome.time_s.to_bits(), b.outcome.time_s.to_bits());
                     assert_eq!(a.energy_j.to_bits(), b.energy_j.to_bits());
@@ -586,70 +393,13 @@ mod tests {
                     );
                     assert_eq!(a.measurement, b.measurement);
                     assert_eq!(a.attempts, b.attempts);
+                    assert_eq!(a.output_digest, b.output_digest);
                 }
                 (CellEntry::Skipped(a), CellEntry::Skipped(b)) => assert_eq!(a, b),
                 (CellEntry::Failed(a), CellEntry::Failed(b)) => assert_eq!(a, b),
                 (a, b) => panic!("variant mismatch for {k:?}: {a:?} vs {b:?}"),
             }
         }
-        std::fs::remove_file(&path).unwrap();
-        std::fs::remove_file(&path2).unwrap();
-    }
-
-    #[test]
-    fn corrupt_lines_are_dropped_not_fatal() {
-        let path = tmp("corrupt");
-        let good = run_suite(&hpc_kernels::test_suite(), false);
-        let header = StateHeader {
-            tag: "test".into(),
-            fault_seed: None,
-            passes: None,
-            benches: good.bench_names.clone(),
-        };
-        save(&path, &header, &good.cells).unwrap();
-        // Truncate the last line mid-token, as a crash mid-append would.
-        let mut text = std::fs::read_to_string(&path).unwrap();
-        text.truncate(text.len() - 40);
-        text.push_str("\ncell|garbage");
-        std::fs::write(&path, &text).unwrap();
-        let (h, cells) = load(&path).unwrap();
-        assert_eq!(h, header);
-        assert!(cells.len() >= good.cells.len() - 2);
-        assert!(cells.len() < good.cells.len() + 1);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn cell_lines_carry_a_verified_content_address() {
-        let results = run_suite(&hpc_kernels::test_suite(), false);
-        let header = StateHeader {
-            tag: "test".into(),
-            fault_seed: None,
-            passes: None,
-            benches: results.bench_names.clone(),
-        };
-        let path = tmp("keyed");
-        save(&path, &header, &results.cells).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        // Every cell line's second column is the 16-hex-digit CellKey the
-        // header identity derives for those coordinates.
-        let mut checked = 0;
-        for line in text.lines().filter(|l| l.starts_with("cell|")) {
-            let key = line.split('|').nth(1).unwrap();
-            assert_eq!(key.len(), 16, "{line}");
-            assert!(key.parse::<CellKey>().is_ok(), "{line}");
-            checked += 1;
-        }
-        assert_eq!(checked, results.cells.len());
-        // Tampering with one key drops exactly that line on load.
-        let victim = text.lines().find(|l| l.starts_with("cell|")).unwrap();
-        let mut cols: Vec<&str> = victim.splitn(3, '|').collect();
-        cols[1] = "0000000000000000";
-        let bad_line = cols.join("|");
-        std::fs::write(&path, text.replace(victim, &bad_line)).unwrap();
-        let (_, cells) = load(&path).unwrap();
-        assert_eq!(cells.len(), results.cells.len() - 1);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -664,14 +414,5 @@ mod tests {
         }
         assert!(decode_entry("ok|truncated").is_none());
         assert!(decode_entry("nonsense").is_none());
-    }
-
-    #[test]
-    fn missing_or_foreign_files_load_as_none() {
-        assert!(load(Path::new("/nonexistent/suite.state")).is_none());
-        let path = tmp("foreign");
-        std::fs::write(&path, "not a state file\n").unwrap();
-        assert!(load(&path).is_none());
-        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -27,7 +27,7 @@ pub mod trace;
 
 pub use artifact::atomic_write;
 pub use autotune::{AutotuneConfig, AutotuneReport};
-pub use checkpoint::{cell_spec, coord_spec, decode_entry, encode_entry};
+pub use checkpoint::{cell_spec, decode_entry, encode_entry};
 pub use export::{jsonl_row, parse_csv, to_csv, to_jsonl};
 pub use figures::{fig2, fig3, fig4, headline, summary};
 pub use route::RouteConfig;

@@ -64,10 +64,12 @@ flags:
                       (or FAULT_SEED env); same seed => byte-identical
                       artifacts at any thread count, and the same rows as
                       serving the sweep with 'submit --fault-seed <n>'
-  --state <path>      checkpoint file for suite runs (default suite.state
+  --state <path>      checkpoint file for suite runs, in the simcache
+                      format 'serve --cache' reads (default suite.state
                       when --resume is given; otherwise no checkpointing
                       unless --state is passed)
-  --resume            preload finished cells from the checkpoint instead
+  --resume            reuse the checkpoint's cells whose key (scale,
+                      fault seed, passes, model version) matches instead
                       of rerunning them
   --keep-going        record cell failures and continue (default)
   --fail-fast         stop scheduling new cells after the first failure
@@ -80,11 +82,11 @@ flags:
   --passes <list>     run kernels through this optimizer pass pipeline
                       (comma-separated, e.g. cf,cse,dce, or 'full'; or
                       SIM_PASSES env; default: unoptimized); for
-                      suite/figure runs it pins the sweep's pipeline (part
-                      of the checkpoint identity), for submit it is
-                      forwarded with the sweep and folded into every cell
-                      key; serve and route ignore it (a served cell's
-                      pipeline is the one its request names)
+                      suite/figure runs it pins the sweep's pipeline, for
+                      submit it is forwarded with the sweep; either way it
+                      is folded into every cell key; serve and route
+                      ignore it (a served cell's pipeline is the one its
+                      request names)
   --quiet | --verbose log verbosity
   --help              this text
 
@@ -107,9 +109,9 @@ serve flags:
   --queue <n>         scheduler queue bound; overflowing sweeps get 429
                       (default 256)
   --cache <path>      persist the cache here (atomic rewrite after every
-                      batch; restored on startup)
-  --warm <path>       warm-start the cache from a simstate checkpoint
-                      (repeatable)
+                      batch; restored on startup); a --state checkpoint
+                      is a cache file, so this also serves a finished
+                      sweep
   --trace-dir <dir>   per-request tracing: requests.log (one line per
                       sweep request) plus req-<traceid>.json Perfetto
                       traces for sampled requests; response bytes are
@@ -196,7 +198,6 @@ struct Opts {
     capacity: usize,
     queue: usize,
     cache: Option<std::path::PathBuf>,
-    warm: Vec<std::path::PathBuf>,
     cells: Option<Vec<String>>,
     shards: Vec<String>,
     metrics: bool,
@@ -231,7 +232,6 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
         capacity: 1024,
         queue: 256,
         cache: None,
-        warm: Vec::new(),
         cells: None,
         shards: Vec::new(),
         metrics: false,
@@ -297,10 +297,6 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
             "--cache" => match it.next() {
                 Some(p) if !p.starts_with("--") => o.cache = Some(p.into()),
                 _ => return Err("--cache needs a file path argument".into()),
-            },
-            "--warm" => match it.next() {
-                Some(p) if !p.starts_with("--") => o.warm.push(p.into()),
-                _ => return Err("--warm needs a file path argument".into()),
             },
             "--cells" => match it.next() {
                 Some(l) if !l.starts_with("--") && !l.is_empty() => {
@@ -540,7 +536,6 @@ fn run() -> i32 {
             capacity: o.capacity,
             queue_cap: o.queue,
             cache_path: o.cache,
-            warm: o.warm,
             trace_dir: o.req_trace_dir,
             trace_sample: o.trace_sample,
             slow_ms: o.slow_ms,

@@ -38,8 +38,8 @@
 //!   propagating the maximum `Retry-After` (already-computed cells are
 //!   cached on their shards, so the retry is cheap);
 //! * `/healthz` aggregates shard liveness (503 lists the casualties);
-//!   `/metrics` sums shard counters (latency lines take the max) and
-//!   appends `sim_router_*` lines, including per-shard breaker states.
+//!   `/metrics` sums shard counters and histograms (declared gauges
+//!   such as uptime take the max) and appends `sim_router_*` lines, including per-shard breaker states.
 
 use crate::checkpoint;
 use crate::export;
@@ -467,8 +467,8 @@ impl Router {
         Response::text(503, body)
     }
 
-    /// Aggregate shard `/metrics` pages (sum counters, max latencies) and
-    /// append the router's own counters.
+    /// Aggregate shard `/metrics` pages ([`server_metrics::aggregate_pages`])
+    /// and append the router's own counters.
     fn metrics_page(&self) -> Response {
         let mut pages: Vec<String> = Vec::new();
         let mut up = 0usize;

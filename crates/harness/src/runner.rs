@@ -7,15 +7,19 @@
 //! looks like a resource exhaustion) are retried with recorded exponential
 //! backoff, and whatever still fails is captured as a structured
 //! [`CellError`] row instead of aborting the suite. With a checkpoint path
-//! configured, every completed cell is persisted (atomically) so an
-//! interrupted sweep can `--resume` without redoing finished work.
+//! configured, every completed cell is persisted (atomically, as a
+//! `simcache v1` file keyed like the server's cache) so an interrupted
+//! sweep can `--resume` without redoing finished work.
 
-use crate::checkpoint;
+use crate::artifact::atomic_write;
+use crate::checkpoint::{cell_spec, decode_entry, encode_entry};
 use hpc_kernels::{Benchmark, Precision, RunOutcome, RunSkip, Variant};
 use powersim::{Measurement, PowerModel, Wt230};
+use sim_server::cache::Cache;
+use sim_server::key::CellSpec;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use telemetry::{log, Counters};
@@ -146,8 +150,8 @@ impl CellEntry {
 
 /// Cell coordinates: (benchmark name, variant, precision bits). This is
 /// the in-process index into a sweep's results; the *content address* of a
-/// cell (which also pins scale, fault seed, device and simulator version)
-/// is [`sim_server::key::CellKey`], built via [`crate::checkpoint::cell_spec`].
+/// cell (which also pins scale, fault seed, pass pipeline, device and
+/// model version) is [`sim_server::key::CellKey`], built via [`cell_spec`].
 pub type CellCoord = (String, Variant, u8);
 
 /// Knobs for [`run_suite_with`].
@@ -169,20 +173,19 @@ pub struct SuiteConfig {
     /// still recorded; pending cells become `Aborted` rows). Off by
     /// default: keep-going is what a long unattended sweep wants.
     pub fail_fast: bool,
-    /// Checkpoint file: every completed cell is persisted here (atomic
-    /// rewrite) so a crashed run can resume.
+    /// Checkpoint file (`simcache v1`): every completed cell is persisted
+    /// here (atomic rewrite) so a crashed run can resume.
     pub checkpoint: Option<PathBuf>,
-    /// Preload finished cells from `checkpoint` instead of rerunning them.
+    /// Reuse the cells of `checkpoint` whose key matches instead of
+    /// rerunning them; its other cells stay in the file.
     pub resume: bool,
-    /// Suite identity tag stored in the checkpoint header ("paper" /
-    /// "test"); a resume against a checkpoint with a different tag,
-    /// benchmark list or fault seed starts fresh.
+    /// Scale tag ("paper" / "test") in every cell key.
     pub state_tag: String,
     /// Optimizer pipeline applied to every kernel launched by the sweep;
     /// `None` (the default) runs unoptimized. Authoritative: every cell is
     /// scoped to exactly this pipeline, whatever the process-wide
     /// [`kernel_ir::opt::set_passes`] selection, so a cell's passes always
-    /// match its checkpoint header and content-address key.
+    /// match its content-address key.
     pub passes: Option<kernel_ir::opt::Pipeline>,
 }
 
@@ -417,44 +420,49 @@ pub fn run_suite_with(benches: &[Box<dyn Benchmark>], cfg: &SuiteConfig) -> Suit
         }
     }
 
-    let header = checkpoint::StateHeader {
-        tag: cfg.state_tag.clone(),
-        fault_seed: cfg.faults.map(|p| p.seed()),
-        passes: cfg.passes.as_ref().map(|p| p.to_string()),
-        benches: names.clone(),
+    let fault_seed = cfg.faults.map(|p| p.seed());
+    let passes = cfg.passes.as_ref().map(|p| p.to_string());
+    let spec_of = |bi: usize, v, prec| {
+        cell_spec(
+            &cfg.state_tag,
+            fault_seed,
+            passes.as_deref(),
+            &names[bi],
+            v,
+            prec,
+        )
     };
-    let preloaded: HashMap<CellCoord, CellEntry> = match &cfg.checkpoint {
-        Some(path) if cfg.resume => match checkpoint::load(path) {
-            Some((h, entries)) if h == header => {
-                if cfg.verbose {
-                    log::progress(&format!(
-                        "resuming: {} finished cells loaded from {}",
-                        entries.len(),
-                        path.display()
-                    ));
-                }
-                entries
+    // Finished cells by content address. On resume, every cell of the
+    // file is kept — cells of other sweeps are carried over untouched —
+    // and each job reuses only the cell under its own key.
+    let store = cfg.checkpoint.as_ref().map(|path| {
+        let mut cache = Cache::new(usize::MAX);
+        if cfg.resume {
+            let restored = std::fs::read(path)
+                .ok()
+                .and_then(|bytes| cache.restore(&bytes, |p| decode_entry(p).is_some()));
+            if cfg.verbose {
+                log::progress(&match restored {
+                    Some(n) => format!("resuming: {n} cells loaded from {}", path.display()),
+                    None => format!("no simcache file at {}; starting fresh", path.display()),
+                });
             }
-            Some(_) => {
-                log::progress(&format!(
-                    "checkpoint {} belongs to a different suite configuration; starting fresh",
-                    path.display()
-                ));
-                HashMap::new()
-            }
-            None => HashMap::new(),
-        },
-        _ => HashMap::new(),
-    };
-
-    let done: Mutex<HashMap<CellCoord, CellEntry>> = Mutex::new(preloaded.clone());
+        }
+        (path, Mutex::new(cache))
+    });
     let abort = AtomicBool::new(false);
 
     let raw = sim_pool::try_parallel_map(jobs.len(), |j| {
         let (bi, prec, v) = jobs[j];
-        let key: CellCoord = (names[bi].clone(), v, prec_key(prec));
-        if let Some(e) = preloaded.get(&key) {
-            return e.clone();
+        let spec = spec_of(bi, v, prec);
+        if let Some((_, cache)) = &store {
+            let cache = cache.lock().unwrap_or_else(|e| e.into_inner());
+            if let Some(e) = cache
+                .peek(spec.key())
+                .and_then(|c| decode_entry(&c.payload))
+            {
+                return e;
+            }
         }
         if cfg.fail_fast && abort.load(Ordering::Relaxed) {
             return CellEntry::Failed(CellError {
@@ -478,15 +486,8 @@ pub fn run_suite_with(benches: &[Box<dyn Benchmark>], cfg: &SuiteConfig) -> Suit
         if cfg.fail_fast && matches!(entry, CellEntry::Failed(_)) {
             abort.store(true, Ordering::Relaxed);
         }
-        if let Some(path) = &cfg.checkpoint {
-            let mut d = done.lock().unwrap_or_else(|e| e.into_inner());
-            d.insert(key, entry.clone());
-            if let Err(e) = checkpoint::save(path, &header, &d) {
-                log::progress(&format!(
-                    "warning: failed to checkpoint to {}: {e}",
-                    path.display()
-                ));
-            }
+        if let Some((path, cache)) = &store {
+            checkpoint_cell(path, cache, spec, &entry);
         }
         entry
     });
@@ -495,18 +496,39 @@ pub fn run_suite_with(benches: &[Box<dyn Benchmark>], cfg: &SuiteConfig) -> Suit
     for ((bi, prec, v), res) in jobs.into_iter().zip(raw) {
         let entry = match res {
             Ok(e) => e,
-            Err(tp) => CellEntry::Failed(CellError {
-                kind: FailKind::WorkerPanic,
-                message: tp.message,
-                attempts: 1,
-                backoff_ms: 0,
-            }),
+            Err(tp) => {
+                let entry = CellEntry::Failed(CellError {
+                    kind: FailKind::WorkerPanic,
+                    message: tp.message,
+                    attempts: 1,
+                    backoff_ms: 0,
+                });
+                // A worker death rolls on the cell's key like every other
+                // fault, so its row is as reusable as any other (the
+                // server caches the same row).
+                if let Some((path, cache)) = &store {
+                    checkpoint_cell(path, cache, spec_of(bi, v, prec), &entry);
+                }
+                entry
+            }
         };
         cells.insert((names[bi].clone(), v, prec_key(prec)), entry);
     }
     SuiteResults {
         cells,
         bench_names: names,
+    }
+}
+
+/// Add a finished cell to the checkpoint store and rewrite the file.
+fn checkpoint_cell(path: &Path, store: &Mutex<Cache>, spec: CellSpec, entry: &CellEntry) {
+    let mut cache = store.lock().unwrap_or_else(|e| e.into_inner());
+    cache.insert(spec, encode_entry(entry));
+    if let Err(e) = atomic_write(path, &cache.snapshot()) {
+        log::progress(&format!(
+            "warning: failed to checkpoint to {}: {e}",
+            path.display()
+        ));
     }
 }
 

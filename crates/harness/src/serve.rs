@@ -2,14 +2,14 @@
 //!
 //! This module mounts the generic `sim-server` kernel (HTTP, cache,
 //! scheduler) onto the simulator: request cells are normalized through
-//! [`checkpoint::cell_spec`] into the same key space the `simstate v3`
+//! [`checkpoint::cell_spec`] into the same key space the `--state`
 //! checkpoint uses, results are stored as [`checkpoint::encode_entry`]
 //! payloads, and sweep responses are rendered by [`export::jsonl_row`] —
 //! the exact formatter behind `harness jsonl`. Those three shared code
 //! paths are what make the service's contract hold: a served sweep is
 //! byte-identical to the offline artifact, a warm cache is
-//! indistinguishable from a cold one, and a checkpoint file warm-starts
-//! the cache without translation.
+//! indistinguishable from a cold one, and a checkpoint file *is* a cache
+//! file (`serve --cache suite.state`).
 //!
 //! Endpoints (see DESIGN.md §12 and the README quickstart):
 //!
@@ -31,7 +31,7 @@
 //! coalescing, batching and arrival order can change only *when* a cell
 //! is computed, never what the client receives.
 
-use crate::checkpoint::{self, cell_spec, coord_spec};
+use crate::checkpoint::{self, cell_spec};
 use crate::export;
 use crate::runner::{
     run_one, CellCoord, CellEntry, CellError, FailKind, SuiteConfig, SuiteResults,
@@ -63,10 +63,9 @@ pub struct ServeConfig {
     /// Scheduler queue bound; sweeps that would push past it get 429.
     pub queue_cap: usize,
     /// Cache persistence file (`simcache v1`, written atomically after
-    /// every completed batch and on shutdown).
+    /// every completed batch and on shutdown). A `--state` sweep
+    /// checkpoint is such a file, so naming one warm-starts the cache.
     pub cache_path: Option<PathBuf>,
-    /// `simstate v3` checkpoint files to warm-start the cache from.
-    pub warm: Vec<PathBuf>,
     /// Request-trace output directory (`--trace-dir`); `None` disables
     /// tracing. Tracing writes headers and files only — response bytes
     /// are untouched.
@@ -95,7 +94,6 @@ impl Default for ServeConfig {
             capacity: 1024,
             queue_cap: 256,
             cache_path: None,
-            warm: Vec::new(),
             trace_dir: None,
             trace_sample: 0,
             slow_ms: None,
@@ -413,37 +411,6 @@ impl Engine {
                     "cache: restored {n} cells from {}",
                     path.display()
                 ));
-            }
-        }
-        for path in &cfg.warm {
-            match checkpoint::load(path) {
-                Some((header, entries)) => {
-                    // Sorted for a deterministic LRU stamp order.
-                    let mut coords: Vec<&CellCoord> = entries.keys().collect();
-                    coords.sort_by_key(|(b, v, p)| {
-                        (b.clone(), Variant::ALL.iter().position(|x| x == v), *p)
-                    });
-                    let mut n = 0usize;
-                    for coord in coords {
-                        if let Some(spec) = coord_spec(
-                            &header.tag,
-                            header.fault_seed,
-                            header.passes.as_deref(),
-                            coord,
-                        ) {
-                            cache.insert(spec, checkpoint::encode_entry(&entries[coord]));
-                            n += 1;
-                        }
-                    }
-                    log::progress(&format!(
-                        "cache: warmed {n} cells from checkpoint {}",
-                        path.display()
-                    ));
-                }
-                None => log::progress(&format!(
-                    "warning: checkpoint {} unreadable; skipped",
-                    path.display()
-                )),
             }
         }
         let cache = Arc::new(Mutex::new(cache));

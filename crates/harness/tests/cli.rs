@@ -59,7 +59,6 @@ fn help_documents_the_serving_layer() {
         "submit",
         "--queue",
         "--cache",
-        "--warm",
         "--trace-dir",
         "--trace-sample",
         "--slow-ms",

@@ -1,13 +1,15 @@
 //! Content-addressed result cache: [`CellKey`] → opaque result payload.
 //!
-//! The cache stores *encoded* cell results (the server wires in the
-//! harness checkpoint codec, so a payload is exactly one `simstate`-style
-//! entry) keyed by the canonical spec hash. An in-memory LRU with a
-//! configurable capacity fronts an optional on-disk snapshot: the whole
-//! cache serializes to a deterministic, sorted, line-oriented `simcache
-//! v1` document (same token codec as the key module) that the owner
-//! persists with `atomic_write`. Corrupt snapshot lines are dropped, not
-//! fatal — a damaged cache costs recomputation, never a crash.
+//! The cache stores *encoded* cell results (the owner wires in the
+//! harness entry codec) keyed by the canonical spec hash. An in-memory
+//! LRU with a configurable capacity fronts an optional on-disk snapshot:
+//! the whole cache serializes to a deterministic, sorted, line-oriented
+//! `simcache v1` document (same token codec as the key module) that the
+//! owner persists with `atomic_write`. It is the only on-disk cell
+//! format: `harness serve --cache` and the `harness --state` sweep
+//! checkpoint both write it, so either file restores into the other.
+//! Corrupt snapshot lines are dropped, not fatal — a damaged cache costs
+//! recomputation, never a crash.
 
 use crate::key::{esc, unesc, CellKey, CellSpec, Tokens};
 use std::collections::HashMap;
@@ -213,7 +215,6 @@ mod tests {
             precision: 32,
             fault_seed: None,
             passes: None,
-            params: vec![],
         }
     }
 

@@ -1675,7 +1675,6 @@ mod tests {
                         precision: 32,
                         fault_seed: None,
                         passes: None,
-                        params: vec![],
                     };
                     let slots = sched.admit(&[spec], Lane::Interactive).unwrap();
                     let eval = slots[0].wait().unwrap();

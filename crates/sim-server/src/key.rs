@@ -1,13 +1,13 @@
 //! Canonical cell identity: [`CellSpec`] → [`CellKey`].
 //!
 //! A *cell* is one fully-specified experiment point: benchmark × version ×
-//! precision × problem scale × device config × fault seed × optimizer
-//! pass pipeline × simulator version. Its [`CellKey`] is a stable 64-bit FNV-1a hash of the
-//! *canonical serialization* of the spec, so any two parties that agree on
-//! the spec agree on the key — the `harness` checkpoint store
-//! (`simstate v3` lines carry the key) and the server's content-addressed
-//! cache speak the same identity, and a warm-start from a checkpoint is a
-//! pure key-space import.
+//! precision × problem scale × device × fault seed × optimizer pass
+//! pipeline × model version. Its [`CellKey`] is a stable 64-bit FNV-1a
+//! hash of the *canonical serialization* of the spec, so any two parties
+//! that agree on the spec agree on the key. The `harness --state`
+//! checkpoint and the server's content-addressed cache are the same
+//! `simcache v1` file ([`crate::cache`]), so a checkpoint is served as a
+//! cache with no translation.
 //!
 //! Canonicalization rules (pinned by unit tests):
 //!
@@ -15,9 +15,6 @@
 //!   built or which order a JSON request listed them in;
 //! * free-form strings are percent-escaped ([`esc`]) so the `|`-separated
 //!   line structure cannot be broken by hostile names;
-//! * numeric device/DVFS parameters are encoded as IEEE-754 **bit
-//!   patterns** in hex ([`fbits`]) and sorted by name — `0.1` hashes the
-//!   same on every platform and round-trips exactly;
 //! * the schema version is part of the hashed bytes, so a future change
 //!   to these rules invalidates old keys instead of colliding with them.
 //!
@@ -29,9 +26,10 @@
 use std::fmt;
 
 /// Version of the canonicalization schema itself (hashed into every key).
-/// v2 added the optimizer `passes` field; v1 keys are deliberately orphaned
-/// (an optimized and an unoptimized run must never share a cache line).
-pub const KEY_SCHEMA_VERSION: u32 = 2;
+/// v2 added the optimizer `passes` field (an optimized and an unoptimized
+/// run must never share a cache line); v3 dropped the never-populated
+/// numeric `params` field. Older keys are deliberately orphaned.
+pub const KEY_SCHEMA_VERSION: u32 = 3;
 
 // ---- shared token-level codec ----
 
@@ -126,7 +124,8 @@ impl<'a> Tokens<'a> {
 /// state and arrival order are all absent by design).
 #[derive(Clone, Debug, PartialEq)]
 pub struct CellSpec {
-    /// Simulator version (key invalidation across releases).
+    /// Model version: bumped whenever a cell's result bytes change, so a
+    /// file written by an older model never answers for a newer one.
     pub sim_version: String,
     /// Device / platform fingerprint (e.g. "exynos5250").
     pub device: String,
@@ -146,25 +145,14 @@ pub struct CellSpec {
     /// `None` means the unoptimized baseline — a distinct key from any
     /// pipeline, including an empty one.
     pub passes: Option<String>,
-    /// Named numeric overrides (DVFS frequency, voltage, …), hashed as
-    /// bit patterns and sorted by name. Empty for the default config.
-    pub params: Vec<(String, f64)>,
 }
 
 impl CellSpec {
-    /// The canonical serialized form: fixed field order, escaped strings,
-    /// bit-exact floats, name-sorted params. This is what gets hashed and
-    /// what the cache snapshot stores.
+    /// The canonical serialized form: fixed field order, escaped strings.
+    /// This is what gets hashed and what the cache snapshot stores.
     pub fn canonical(&self) -> String {
-        let mut params: Vec<&(String, f64)> = self.params.iter().collect();
-        params.sort_by(|a, b| a.0.cmp(&b.0));
-        let params = params
-            .iter()
-            .map(|(k, v)| format!("{}={}", esc(k), fbits(*v)))
-            .collect::<Vec<_>>()
-            .join(",");
         format!(
-            "cellspec v{}|{}|{}|{}|{}|{}|{}|{}|{}|{}",
+            "cellspec v{}|{}|{}|{}|{}|{}|{}|{}|{}",
             KEY_SCHEMA_VERSION,
             esc(&self.sim_version),
             esc(&self.device),
@@ -179,7 +167,6 @@ impl CellSpec {
                 .as_deref()
                 .map(esc)
                 .unwrap_or_else(|| "-".into()),
-            params,
         )
     }
 
@@ -203,15 +190,8 @@ impl CellSpec {
             "-" => None,
             s => Some(unesc(s)?),
         };
-        let mut params = Vec::new();
-        match t.str()? {
-            "" => {}
-            s => {
-                for kv in s.split(',') {
-                    let (k, v) = kv.split_once('=')?;
-                    params.push((unesc(k)?, fbits_parse(v)?));
-                }
-            }
+        if t.str().is_some() {
+            return None;
         }
         Some(CellSpec {
             sim_version,
@@ -222,7 +202,6 @@ impl CellSpec {
             precision,
             fault_seed,
             passes,
-            params,
         })
     }
 
@@ -233,7 +212,7 @@ impl CellSpec {
 }
 
 /// Stable 64-bit content address of a [`CellSpec`]. Displays as 16 hex
-/// digits (the form used in `GET /v1/cell/<key>` and `simstate v3`
+/// digits (the form used in `GET /v1/cell/<key>` and `simcache v1`
 /// lines).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CellKey(pub u64);
@@ -280,7 +259,6 @@ mod tests {
             precision: 32,
             fault_seed: Some(7),
             passes: Some("cf,cse,dce".into()),
-            params: vec![("gpu_mhz".into(), 533.0), ("a".into(), 0.1)],
         }
     }
 
@@ -289,20 +267,10 @@ mod tests {
         let s = spec();
         let c = s.canonical();
         let back = CellSpec::from_canonical(&c).unwrap();
-        // Params come back name-sorted; keys and canonical forms agree.
         assert_eq!(back.key(), s.key());
         assert_eq!(back.canonical(), c);
         assert_eq!(back.bench, "spmv");
         assert_eq!(back.fault_seed, Some(7));
-    }
-
-    #[test]
-    fn param_order_does_not_change_the_key() {
-        let a = spec();
-        let mut b = spec();
-        b.params.reverse();
-        assert_eq!(a.key(), b.key());
-        assert_eq!(a.canonical(), b.canonical());
     }
 
     #[test]
@@ -335,9 +303,6 @@ mod tests {
         let mut s = spec();
         s.passes = Some("cf".into());
         assert_ne!(s.key(), base);
-        let mut s = spec();
-        s.params[1].1 = 0.2;
-        assert_ne!(s.key(), base);
     }
 
     /// Pin the exact hash so an accidental canonicalization change (field
@@ -347,9 +312,9 @@ mod tests {
     fn key_is_pinned() {
         assert_eq!(
             spec().canonical(),
-            "cellspec v2|0.1.0|exynos5250|test|spmv|OpenCL-Opt|32|7\
-             |cf%2ccse%2cdce|a=3fb999999999999a,gpu_mhz=4080a80000000000"
+            "cellspec v3|0.1.0|exynos5250|test|spmv|OpenCL-Opt|32|7|cf%2ccse%2cdce"
         );
+        assert_eq!(spec().key(), CellKey(0x3172_1a1e_fea3_2bff));
         assert_eq!(spec().key().0, fnv1a64(spec().canonical().as_bytes()));
         assert_eq!(fnv1a64(b""), 0xcbf29ce484222325);
         assert_eq!(fnv1a64(b"a"), 0xaf63dc4c8601ec8c);
@@ -363,8 +328,7 @@ mod tests {
             f64::MIN_POSITIVE,
             f64::MAX,
             std::f64::consts::PI,
-            // An f32 widened to f64 (the widening is exact): covers specs
-            // whose params originate as single-precision values.
+            // An f32 widened to f64 (the widening is exact).
             std::f32::consts::E as f64,
         ] {
             assert_eq!(fbits_parse(&fbits(x)).unwrap().to_bits(), x.to_bits());

@@ -18,13 +18,14 @@
 //! Layers, bottom-up:
 //!
 //! * [`key`] — canonical cell specs, the stable [`key::CellKey`] hash,
-//!   and the shared token codec (escaping, float bit-patterns) also used
-//!   by the `simstate` checkpoint format.
+//!   and the shared token codec (escaping, float bit-patterns) that the
+//!   harness cell payloads are written in.
 //! * [`json`] — a bounded, exact-integer JSON parser for request bodies.
 //! * [`http`] — minimal HTTP/1.1 server (a non-blocking reactor thread
 //!   plus a fixed worker pool with priority lanes) and a one-shot
 //!   client.
-//! * [`cache`] — content-addressed LRU with deterministic snapshots.
+//! * [`cache`] — content-addressed LRU with deterministic `simcache v1`
+//!   snapshots, the one on-disk cell format (also `harness --state`).
 //! * [`scheduler`] — a single dispatcher that coalesces duplicate
 //!   in-flight cells, batches distinct ones, and bounds the queue with
 //!   explicit backpressure.

@@ -7,10 +7,8 @@
 //! unit of wall-clock truth: bucket counts are plain counters, so the
 //! router merges shard pages by *summation* and the result is exactly the
 //! histogram a single process would have recorded ([`aggregate_pages`]).
-//! Legacy `sim_server_sweep_time_p50_us`/`_p95_us`/`_mean_us` lines are
-//! kept, now derived from the histogram, and still aggregate with `max`
-//! (a true worst-shard bound — summing percentiles would fabricate a
-//! number no shard observed).
+//! Every line belongs to a `# TYPE`-declared family, and aggregation
+//! classifies lines by that declaration alone.
 
 use crate::cache::CacheStats;
 use crate::http::LaneSnapshot;
@@ -290,15 +288,6 @@ pub fn render(
     }
 
     render_lanes("sim_server", lanes, &mut out);
-
-    // Legacy scalar latency lines, now derived from the histogram. Kept
-    // for existing greps; still max-aggregated across shards.
-    let mut legacy = |name: &str, v: u64| {
-        out.push_str(&format!("# TYPE {name} gauge\n{name} {v}\n"));
-    };
-    legacy("sim_server_sweep_time_p50_us", m.sweep_time.p50_us());
-    legacy("sim_server_sweep_time_p95_us", m.sweep_time.p95_us());
-    legacy("sim_server_sweep_time_mean_us", m.sweep_time.mean_us());
     out
 }
 
@@ -385,17 +374,12 @@ const SUMMED_GAUGES: &[&str] = &[
 /// `# TYPE` declarations: declared gauges take the max unless they are
 /// on the [`SUMMED_GAUGES`] extensive allowlist; declared counters and
 /// histograms always sum (summing cumulative bucket counts is an exact
-/// histogram merge). Undeclared lines fall back to the name heuristic —
-/// scalar `*_us` / `*_seconds` lines max, everything else sums. The
-/// label block is stripped first so `sim_router_breaker_state{shard="0"}`
-/// matches its family's TYPE declaration.
+/// histogram merge), and so do undeclared lines. The label block is
+/// stripped first so `sim_router_breaker_state{shard="0"}` matches its
+/// family's TYPE declaration.
 fn max_aggregated(name: &str, types: &HashMap<String, String>) -> bool {
     let base = name.split('{').next().unwrap_or(name);
-    match types.get(base).map(String::as_str) {
-        Some("gauge") => !SUMMED_GAUGES.contains(&base),
-        Some(_) => false,
-        None => name.ends_with("_us") || name.ends_with("_seconds"),
-    }
+    types.get(base).is_some_and(|t| t == "gauge") && !SUMMED_GAUGES.contains(&base)
 }
 
 /// Aggregate several exposition pages (one per shard) into one.
@@ -645,11 +629,6 @@ mod tests {
             "sim_server_lane_wait_interactive_us_count 1",
             "sim_server_lane_wait_bulk_us_bucket{le=\"8192\"} 1",
             "sim_server_uptime_seconds 9",
-            // Legacy percentiles are now bucket upper bounds (100 -> 128,
-            // 200 -> 256).
-            "sim_server_sweep_time_p50_us 128",
-            "sim_server_sweep_time_p95_us 256",
-            "sim_server_sweep_time_mean_us 150",
             // Histogram families: cumulative buckets + sum + count.
             "sim_server_sweep_time_us_bucket{le=\"128\"} 1",
             "sim_server_sweep_time_us_bucket{le=\"+Inf\"} 2",
@@ -675,22 +654,18 @@ mod tests {
         assert_eq!(h.sum_us(), 300);
     }
 
+    /// Classification comes from `# TYPE` declarations only: an
+    /// undeclared line sums whatever its name suffix.
     #[test]
-    fn aggregation_sums_counters_and_maxes_latencies() {
-        let a = "sim_server_cache_hits 10\nsim_server_sweep_time_p95_us 500\n".to_string();
-        let b = "sim_server_cache_hits 32\nsim_server_sweep_time_p95_us 200\nextra_total 1\n"
-            .to_string();
-        let merged = aggregate_pages(&[a, b]);
+    fn undeclared_lines_sum() {
+        let a = "sim_server_cache_hits 10\nsome_latency_us 500\n".to_string();
+        let b = "sim_server_cache_hits 32\nsome_latency_us 200\nextra_total 1\n".to_string();
+        let c = "some_age_seconds 3\n".to_string();
+        let merged = aggregate_pages(&[a, b, c]);
         assert_eq!(
             merged,
-            "sim_server_cache_hits 42\nsim_server_sweep_time_p95_us 500\nextra_total 1\n"
+            "sim_server_cache_hits 42\nsome_latency_us 700\nextra_total 1\nsome_age_seconds 3\n"
         );
-        // Uptime takes the oldest shard, not the sum.
-        let merged = aggregate_pages(&[
-            "sim_server_uptime_seconds 10\n".to_string(),
-            "sim_server_uptime_seconds 3\n".to_string(),
-        ]);
-        assert_eq!(merged, "sim_server_uptime_seconds 10\n");
     }
 
     /// Each previously mis-summed gauge, pinned line by line: a declared

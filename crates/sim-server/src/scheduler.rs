@@ -620,7 +620,6 @@ mod tests {
             precision: 32,
             fault_seed: None,
             passes: None,
-            params: vec![],
         }
     }
 

@@ -32,7 +32,6 @@ fn shard() -> harness::serve::RunningServer {
         capacity: 1024,
         queue_cap: 256,
         cache_path: None,
-        warm: vec![],
         trace_dir: None,
         trace_sample: 0,
         slow_ms: None,
@@ -237,11 +236,14 @@ fn without_replicas_a_dead_shard_degrades_and_trips_its_breaker() {
 /// `(seed, request content, attempt)`.
 #[test]
 fn seeded_network_chaos_heals_within_the_retry_budget() {
+    // The rolls hash the shard sub-request bodies, which carry the cells'
+    // canonical specs: a change to the key schema or the model version
+    // re-rolls them, and may leave this seed drawing no fault at all.
     let knobs = || RouterKnobs {
         replicas: 2,
         retry_budget: 6,
         breaker_threshold: 3,
-        fault_seed: Some(0xC4A07),
+        fault_seed: Some(0xC4A10),
     };
 
     let s0 = shard();
@@ -259,7 +261,7 @@ fn seeded_network_chaos_heals_within_the_retry_budget() {
     let retries = metric(&addr, "sim_router_retries_total");
     assert!(
         retries > 0,
-        "seed 0xC4A07 injected no faults; test is vacuous"
+        "seed 0xC4A10 injected no faults; test is vacuous"
     );
 
     // Same seed, fresh fleet: the same chaos schedule replays exactly.
@@ -295,7 +297,7 @@ fn chaos_and_shard_loss_combined_stay_byte_identical_with_replicas() {
             replicas: 2,
             retry_budget: 6,
             breaker_threshold: 3,
-            fault_seed: Some(0xC4A07),
+            fault_seed: Some(0xC4A10),
         },
     );
     let addr = router.addr.to_string();

@@ -36,7 +36,6 @@ fn shard_traced(queue: usize, dir: Option<std::path::PathBuf>) -> harness::serve
         capacity: 1024,
         queue_cap: queue,
         cache_path: None,
-        warm: vec![],
         trace_sample: u64::from(dir.is_some()),
         trace_dir: dir,
         slow_ms: None,
@@ -166,6 +165,40 @@ fn two_shard_full_sweep_matches_offline_artifact() {
     let [s0, s1] = shards;
     s0.shutdown().unwrap();
     s1.shutdown().unwrap();
+}
+
+/// Every value line on a shard page and on the router page belongs to a
+/// `# TYPE`-declared family (histogram `_bucket`/`_sum`/`_count` lines
+/// through their family), so cross-shard aggregation classifies each
+/// line by its declaration and never by its name.
+#[test]
+fn every_metrics_line_belongs_to_a_declared_family() {
+    let s0 = shard(256);
+    let router = router_over(&[&s0]);
+    let addr = router.addr.to_string();
+    let one =
+        r#"{"scale":"test","cells":[{"bench":"hist","version":"Serial","precision":"single"}]}"#;
+    assert_eq!(sweep(&addr, one).0, 200);
+    for at in [s0.addr.to_string(), addr] {
+        let (st, body) = request(&at, "GET", "/metrics", b"", T).unwrap();
+        assert_eq!(st, 200);
+        let page = String::from_utf8(body).unwrap();
+        let types: std::collections::HashMap<&str, &str> = page
+            .lines()
+            .filter_map(|l| l.strip_prefix("# TYPE ")?.split_once(' '))
+            .collect();
+        let histogram = |family: &str| types.get(family) == Some(&"histogram");
+        for line in page.lines().filter(|l| !l.starts_with('#')) {
+            let name = line.split([' ', '{']).next().unwrap();
+            let declared = types.contains_key(name)
+                || ["_bucket", "_sum", "_count"]
+                    .iter()
+                    .any(|sfx| name.strip_suffix(sfx).is_some_and(histogram));
+            assert!(declared, "undeclared line on {at}: {line}");
+        }
+    }
+    router.shutdown().unwrap();
+    s0.shutdown().unwrap();
 }
 
 /// Kill one shard: the sweep still answers 200, the dead shard's cells

@@ -2,8 +2,8 @@
 //!
 //! The contract under test: a served sweep is byte-identical to the
 //! offline `harness jsonl` artifact, a warm (cached) response is
-//! byte-identical to the cold one that populated it, checkpoints
-//! warm-start the cache, the cache persists across server restarts, and
+//! byte-identical to the cold one that populated it, a checkpoint is a
+//! cache file, the cache persists across server restarts, and
 //! backpressure/validation surface as proper HTTP statuses — all
 //! regardless of thread count, cache state or arrival order.
 
@@ -23,7 +23,7 @@ fn tmp(name: &str) -> PathBuf {
 
 /// One offline fault-free test-scale sweep, shared across tests: its
 /// JSONL artifact is the byte-identity reference and its checkpoint file
-/// is the warm-start fixture.
+/// is a ready-made cache file.
 fn offline() -> &'static (String, PathBuf) {
     static OFFLINE: OnceLock<(String, PathBuf)> = OnceLock::new();
     OFFLINE.get_or_init(|| {
@@ -38,18 +38,12 @@ fn offline() -> &'static (String, PathBuf) {
     })
 }
 
-fn serve(
-    capacity: usize,
-    queue: usize,
-    cache: Option<PathBuf>,
-    warm: Vec<PathBuf>,
-) -> harness::serve::RunningServer {
+fn serve(capacity: usize, queue: usize, cache: Option<PathBuf>) -> harness::serve::RunningServer {
     harness::serve::start(harness::ServeConfig {
         addr: "127.0.0.1:0".into(),
         capacity,
         queue_cap: queue,
         cache_path: cache,
-        warm,
         trace_dir: None,
         trace_sample: 0,
         slow_ms: None,
@@ -66,7 +60,6 @@ fn serve_traced(dir: PathBuf) -> harness::serve::RunningServer {
         capacity: 1024,
         queue_cap: 256,
         cache_path: None,
-        warm: vec![],
         trace_dir: Some(dir),
         trace_sample: 1,
         slow_ms: None,
@@ -98,7 +91,7 @@ fn sweep(addr: &str, body: &str) -> (u16, String) {
 #[test]
 fn cold_then_warm_full_sweep_matches_offline_artifact() {
     let (offline_jsonl, _) = offline();
-    let srv = serve(1024, 256, None, vec![]);
+    let srv = serve(1024, 256, None);
     let addr = srv.addr.to_string();
 
     let (st, body) = request(&addr, "GET", "/healthz", b"", T).unwrap();
@@ -146,7 +139,7 @@ fn cold_then_warm_full_sweep_matches_offline_artifact() {
 /// the request's own result set (null without a serial baseline).
 #[test]
 fn subset_sweeps_coalesce_and_order_rows() {
-    let srv = serve(64, 64, None, vec![]);
+    let srv = serve(64, 64, None);
     let addr = srv.addr.to_string();
 
     // The same cell requested twice in one sweep: two rows, one
@@ -186,7 +179,7 @@ fn subset_sweeps_coalesce_and_order_rows() {
 /// simulation.
 #[test]
 fn invalid_sweeps_are_rejected() {
-    let srv = serve(16, 16, None, vec![]);
+    let srv = serve(16, 16, None);
     let addr = srv.addr.to_string();
     for (body, want) in [
         ("{not json", "bad JSON"),
@@ -225,7 +218,7 @@ fn invalid_sweeps_are_rejected() {
 /// 429 before anything is enqueued.
 #[test]
 fn zero_queue_capacity_rejects_with_429() {
-    let srv = serve(16, 0, None, vec![]);
+    let srv = serve(16, 0, None);
     let addr = srv.addr.to_string();
     let (st, body) = sweep(
         &addr,
@@ -245,7 +238,7 @@ fn zero_queue_capacity_rejects_with_429() {
 fn oversized_requests_get_413_and_the_server_survives() {
     use std::io::{Read, Write};
 
-    let srv = serve(16, 16, None, vec![]);
+    let srv = serve(16, 16, None);
     let addr = srv.addr.to_string();
 
     // Declared body over the 16 MiB cap: refused up front — no need to
@@ -271,13 +264,13 @@ fn oversized_requests_get_413_and_the_server_survives() {
     srv.shutdown().unwrap();
 }
 
-/// A `simstate v3` checkpoint warm-starts the cache: the first sweep is
-/// served entirely from the checkpointed cells and still matches the
-/// offline artifact byte for byte.
+/// A sweep checkpoint is a `simcache` file: served with `--cache`, the
+/// first sweep comes entirely from the checkpointed cells and still
+/// matches the offline artifact byte for byte.
 #[test]
 fn checkpoint_warm_start_serves_without_simulating() {
     let (offline_jsonl, state) = offline();
-    let srv = serve(1024, 256, None, vec![state.clone()]);
+    let srv = serve(1024, 256, Some(state.clone()));
     let addr = srv.addr.to_string();
     let (st, body) = sweep(&addr, r#"{"scale":"test","cells":"all"}"#);
     assert_eq!(st, 200);
@@ -286,6 +279,47 @@ fn checkpoint_warm_start_serves_without_simulating() {
     assert_eq!(metric(&addr, "sim_server_cache_misses"), 0);
     assert_eq!(metric(&addr, "sim_server_cells_simulated_total"), 0);
     srv.shutdown().unwrap();
+}
+
+/// A cache file written by an older model keys its cells under that
+/// model's version, so none of them answers for this one: every cell is
+/// simulated afresh and the sweep matches the offline artifact.
+#[test]
+fn stale_model_version_cells_are_not_served() {
+    let (offline_jsonl, _) = offline();
+    let mut stale = sim_server::cache::Cache::new(usize::MAX);
+    let planted = harness::encode_entry(&harness::CellEntry::Failed(harness::CellError {
+        kind: harness::FailKind::Panic,
+        message: "bytes of an older model".into(),
+        attempts: 1,
+        backoff_ms: 0,
+    }));
+    for b in test_suite() {
+        for prec in Precision::ALL {
+            for v in Variant::ALL {
+                let spec = harness::cell_spec("test", None, None, b.name(), v, prec);
+                assert_ne!(spec.sim_version, "0.1.0");
+                let old = sim_server::key::CellSpec {
+                    sim_version: "0.1.0".into(),
+                    ..spec
+                };
+                stale.insert(old, planted.clone());
+            }
+        }
+    }
+    assert_eq!(stale.len(), 72);
+    let path = tmp("stale-cache");
+    std::fs::write(&path, stale.snapshot()).unwrap();
+    let srv = serve(1024, 256, Some(path.clone()));
+    let addr = srv.addr.to_string();
+    let (st, body) = sweep(&addr, r#"{"scale":"test","cells":"all"}"#);
+    assert_eq!(st, 200);
+    assert_eq!(&body, offline_jsonl);
+    assert_eq!(metric(&addr, "sim_server_cache_hits"), 0);
+    assert_eq!(metric(&addr, "sim_server_cache_misses"), 72);
+    assert_eq!(metric(&addr, "sim_server_cells_simulated_total"), 72);
+    srv.shutdown().unwrap();
+    let _ = std::fs::remove_file(&path);
 }
 
 /// The persisted cache survives a server restart: the second process
@@ -298,14 +332,14 @@ fn cache_persists_across_restarts() {
         {"bench":"hist","version":"Serial","precision":"single"},
         {"bench":"hist","version":"OpenCL-Opt","precision":"single"}]}"#;
 
-    let srv = serve(64, 64, Some(cache.clone()), vec![]);
+    let srv = serve(64, 64, Some(cache.clone()));
     let addr = srv.addr.to_string();
     let (st, first) = sweep(&addr, req);
     assert_eq!(st, 200);
     srv.shutdown().unwrap();
     assert!(cache.exists(), "shutdown persists the cache");
 
-    let srv = serve(64, 64, Some(cache.clone()), vec![]);
+    let srv = serve(64, 64, Some(cache.clone()));
     let addr = srv.addr.to_string();
     let (st, second) = sweep(&addr, req);
     assert_eq!(st, 200);
@@ -412,8 +446,9 @@ fn tracing_never_changes_response_bytes_and_writes_artifacts() {
     assert!(page.contains("sim_server_stage_queue_wait_us_count 72"));
     assert!(page.contains("sim_server_stage_cache_lookup_us_count 144"));
     assert!(metric(&addr, "sim_server_uptime_seconds") < 600);
-    // Legacy p50/p95 gauges survive for existing dashboards.
-    assert!(page.contains("sim_server_sweep_time_p95_us "), "{page}");
+    // Percentiles come from the buckets; no scalar percentile gauge
+    // (unmergeable across shards) is exported.
+    assert!(!page.contains("sim_server_sweep_time_p95_us"), "{page}");
 
     srv.shutdown().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
@@ -436,7 +471,7 @@ fn fault_seed_is_part_of_the_cell_identity() {
     .key();
     assert_ne!(k0, k7);
 
-    let srv = serve(64, 64, None, vec![]);
+    let srv = serve(64, 64, None);
     let addr = srv.addr.to_string();
     let cell = r#"{"bench":"red","version":"Serial","precision":"single"}"#;
     let (st, plain) = sweep(&addr, &format!(r#"{{"scale":"test","cells":[{cell}]}}"#));
@@ -469,7 +504,7 @@ fn fault_seed_is_part_of_the_cell_identity() {
 #[test]
 fn thousand_idle_connections_do_not_perturb_sweep_bytes() {
     let (offline_jsonl, _) = offline();
-    let srv = serve(1024, 256, None, vec![]);
+    let srv = serve(1024, 256, None);
     let addr = srv.addr.to_string();
 
     // Park 1000 open connections that never send a byte. Kept alive

@@ -166,20 +166,29 @@ fn rename_dst(op: &mut Op, from: Reg, to: Reg) {
 /// values defined outside) keep their names — and so does anything whose
 /// first write sits inside nested control flow, because a skipped branch
 /// would make the value loop-carried at runtime.
+///
+/// Returned in body (first-touch) order, so each unroll of one program
+/// names its temporaries alike: the launch memo keys programs by their
+/// text, and a hash-ordered rename would make every build a new program.
 fn body_temporaries(body: &[Op]) -> Vec<Reg> {
-    use std::collections::HashMap;
     #[derive(Clone, Copy, PartialEq)]
     enum First {
         Read,
         Write,
     }
-    let mut first: HashMap<Reg, First> = HashMap::new();
-    fn scan(ops: &[Op], first: &mut std::collections::HashMap<Reg, First>, depth: u32) {
+    /// Each register's first touch, in the order the body touches them.
+    fn touch(first: &mut Vec<(Reg, First)>, r: Reg, class: First) {
+        if !first.iter().any(|&(q, _)| q == r) {
+            first.push((r, class));
+        }
+    }
+    let mut first = Vec::new();
+    fn scan(ops: &[Op], first: &mut Vec<(Reg, First)>, depth: u32) {
         for op in ops {
             // Reads first (an op like `acc = acc + v` reads acc).
             let mut read = |o: &Operand| {
                 if let Operand::Reg(r) = o {
-                    first.entry(*r).or_insert(First::Read);
+                    touch(first, *r, First::Read);
                 }
             };
             match op {
@@ -232,7 +241,7 @@ fn body_temporaries(body: &[Op]) -> Vec<Reg> {
                 } else {
                     First::Read
                 };
-                first.entry(d).or_insert(class);
+                touch(first, d, class);
             }
             match op {
                 Op::For { body, .. } => scan(body, first, depth + 1),
@@ -247,7 +256,7 @@ fn body_temporaries(body: &[Op]) -> Vec<Reg> {
     scan(body, &mut first, 0);
     first
         .into_iter()
-        .filter_map(|(r, f)| if f == First::Write { Some(r) } else { None })
+        .filter_map(|(r, f)| (f == First::Write).then_some(r))
         .collect()
 }
 
@@ -455,6 +464,59 @@ mod tests {
             // Back-edges shrink by the factor.
             assert_eq!(t.loop_iters, base_t.loop_iters / f as u64);
         }
+    }
+
+    /// out[gid] = sum_{i<8} f(a[gid*8 + i]), where f is a chain of ten
+    /// iteration-local temporaries; returns the kernel and the chain's
+    /// registers in body order.
+    fn chain() -> (Program, Vec<Reg>) {
+        let mut kb = KernelBuilder::new("chain");
+        let a = kb.arg_global(Scalar::F32, Access::ReadOnly, true);
+        let o = kb.arg_global(Scalar::F32, Access::WriteOnly, true);
+        let gid = kb.query_global_id(0);
+        let acc = kb.mov(Operand::ImmF(0.0), VType::scalar(Scalar::F32));
+        let mut temps = Vec::new();
+        kb.for_loop(
+            Operand::ImmI(0),
+            Operand::ImmI(8),
+            Operand::ImmI(1),
+            |kb, i| {
+                let u32 = VType::scalar(Scalar::U32);
+                let base = kb.bin(BinOp::Mul, gid.into(), Operand::ImmI(8), u32);
+                let idx = kb.bin(BinOp::Add, base.into(), i.into(), u32);
+                let mut v = kb.load(Scalar::F32, a, idx.into());
+                temps.extend([base, idx, v]);
+                for k in 1..=7 {
+                    v = kb.bin(
+                        BinOp::Add,
+                        v.into(),
+                        Operand::ImmF(k as f64),
+                        VType::scalar(Scalar::F32),
+                    );
+                    temps.push(v);
+                }
+                kb.bin_into(acc, BinOp::Add, acc.into(), v.into());
+            },
+        );
+        kb.store(o, gid.into(), acc.into());
+        (kb.finish(), temps)
+    }
+
+    #[test]
+    fn unrolling_is_a_function_of_the_program() {
+        let (p, temps) = chain();
+        let Some(Op::For { body, .. }) = p.body.iter().find(|op| matches!(op, Op::For { .. }))
+        else {
+            panic!("chain has a loop");
+        };
+        assert_eq!(body_temporaries(body), temps, "body order");
+        // Ten temporaries have 10! orders: a hash-ordered rename differs
+        // between calls.
+        let first = unroll(&p, 4).unwrap();
+        for _ in 0..4 {
+            assert_eq!(unroll(&p, 4).unwrap(), first);
+        }
+        assert_eq!(run(&first).0, run(&p).0);
     }
 
     #[test]

@@ -27,10 +27,17 @@
 //!   that differ only in the executed program write identical outputs, so
 //!   they share one copy. A hit writes those buffers into the caller's
 //!   fresh pool, so the caller validates its own output as usual.
-//! * **Lifetime**: a hit keeps its entry, in LRU order. Entries and
+//! * **Runs**: the executed program's digest comes from a stored run of
+//!   the ambient pipeline on the handed program — (handed digest,
+//!   pipeline) to (executed digest, the run's `PassCounters`) — so a hit
+//!   costs only its key; a miss runs the pipeline to execute it. A launch
+//!   that reuses a stored run adds its counters to `opt::stats`, and one
+//!   that runs the pipeline is counted by that run, so the stats read as
+//!   if every launch had optimized once.
+//! * **Lifetime**: a hit keeps its entry, in LRU order. Entries, runs and
 //!   interned buffers together stay under [`BUDGET`] bytes, evicting the
-//!   least recently used entry first; an entry larger than the budget is
-//!   never stored.
+//!   least recently used entry or run first; an entry larger than the
+//!   budget is never stored.
 //! * **Concurrency**: the lock is never held while simulating. A miss on a
 //!   key another thread is already simulating waits for that result
 //!   instead of simulating it again. A thread marks a key only right
@@ -39,6 +46,7 @@
 
 use crate::exec::{ArgBinding, Engine, NDRange};
 use crate::memory::{BufferData, MemoryPool};
+use crate::opt::{PassCounters, Pipeline};
 use crate::program::Program;
 use std::any::{Any, TypeId};
 use std::cell::Cell;
@@ -47,8 +55,8 @@ use std::fmt::{self, Debug, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, LazyLock, Mutex, MutexGuard};
 
-/// Bytes of stored values and interned buffers the process-wide memo
-/// holds at most.
+/// Bytes of stored values, pipeline runs and interned buffers the
+/// process-wide memo holds at most.
 pub const BUDGET: usize = 8 << 20;
 
 static MEMO: LazyLock<Memo> = LazyLock::new(|| Memo::new(BUDGET));
@@ -89,7 +97,16 @@ pub fn reuse_count() -> u64 {
     MEMO.reused.load(Ordering::Relaxed)
 }
 
-/// Drop every stored entry (launches in flight still store theirs).
+/// Launches simulated through the memo to a value, since process start.
+/// A launch whose simulation returns an error (a device refusing its
+/// resources) is not counted: errors are never stored, so every repeat
+/// makes it again.
+pub fn simulated_count() -> u64 {
+    MEMO.simulated.load(Ordering::Relaxed)
+}
+
+/// Drop every stored entry and run (launches in flight still store
+/// theirs).
 pub fn clear() {
     MEMO.clear();
 }
@@ -112,6 +129,33 @@ impl Key {
     }
 }
 
+/// A handed program's digest under one pipeline.
+type RunKey = (u128, Arc<Pipeline>);
+
+/// What one pipeline run made of a handed program: digests, never the
+/// program, so a stream of fresh pipelines stores a few bytes per launch.
+struct Run {
+    /// Digest of the program the run produced.
+    executed: u128,
+    /// The counters the run added to `opt::stats`.
+    counters: PassCounters,
+    /// Position in the LRU order.
+    tick: u64,
+}
+
+fn run_bytes(key: &RunKey) -> usize {
+    std::mem::size_of::<RunKey>()
+        + std::mem::size_of::<Run>()
+        + std::mem::size_of::<Pipeline>()
+        + std::mem::size_of_val(key.1.passes())
+}
+
+/// One slot of the LRU order.
+enum Slot {
+    Launch(Key),
+    Run(RunKey),
+}
+
 struct Entry {
     value: Box<dyn Any + Send + Sync>,
     /// (pool index, interned digest) of every buffer the launch wrote.
@@ -125,13 +169,15 @@ struct Entry {
 #[derive(Default)]
 struct State {
     entries: HashMap<Key, Entry>,
-    /// Entries by last use, oldest first.
-    order: BTreeMap<u64, Key>,
+    /// Pipeline runs by (handed program, pipeline).
+    runs: HashMap<RunKey, Run>,
+    /// Entries and runs by last use, oldest first.
+    order: BTreeMap<u64, Slot>,
     /// Written buffers by digest, with the number of entries holding each.
     buffers: HashMap<u128, (Arc<BufferData>, usize)>,
     /// Keys some thread is simulating now.
     in_flight: HashSet<Key>,
-    /// Bytes of all entries plus all interned buffers.
+    /// Bytes of all entries, runs and interned buffers.
     bytes: usize,
     tick: u64,
 }
@@ -144,14 +190,43 @@ impl State {
         };
         self.tick += 1;
         let old = std::mem::replace(&mut entry.tick, self.tick);
-        let k = self.order.remove(&old).expect("every entry is ordered");
-        self.order.insert(self.tick, k);
+        self.renew(old);
         true
     }
 
+    /// The executed digest and counters of a stored run of `key`, now the
+    /// most recently used.
+    fn run(&mut self, key: &RunKey) -> Option<(u128, PassCounters)> {
+        let run = self.runs.get_mut(key)?;
+        self.tick += 1;
+        let old = std::mem::replace(&mut run.tick, self.tick);
+        let found = (run.executed, run.counters);
+        self.renew(old);
+        Some(found)
+    }
+
+    /// Move the slot ordered at `old` to the newest tick.
+    fn renew(&mut self, old: u64) {
+        let slot = self.order.remove(&old).expect("every slot is ordered");
+        self.order.insert(self.tick, slot);
+    }
+
+    /// Order a new slot as the most recently used; returns its tick.
+    fn push(&mut self, slot: Slot) -> u64 {
+        self.tick += 1;
+        self.order.insert(self.tick, slot);
+        self.tick
+    }
+
     fn evict_oldest(&mut self) {
-        let Some((_, key)) = self.order.pop_first() else {
-            return;
+        let key = match self.order.pop_first() {
+            None => return,
+            Some((_, Slot::Run(key))) => {
+                self.runs.remove(&key).expect("every ordered run is stored");
+                self.bytes -= run_bytes(&key);
+                return;
+            }
+            Some((_, Slot::Launch(key))) => key,
         };
         let entry = self
             .entries
@@ -175,6 +250,7 @@ struct Memo {
     state: Mutex<State>,
     done: Condvar,
     reused: AtomicU64,
+    simulated: AtomicU64,
 }
 
 /// Drops a key's in-flight mark and wakes its waiters, also when the
@@ -201,6 +277,7 @@ impl Memo {
             state: Mutex::new(State::default()),
             done: Condvar::new(),
             reused: AtomicU64::new(0),
+            simulated: AtomicU64::new(0),
         }
     }
 
@@ -231,15 +308,35 @@ impl Memo {
     where
         V: Clone + Send + Sync + 'static,
     {
-        let executed = crate::opt::executed(program);
         let handed = text_digest(program);
+        let pipeline = crate::opt::ambient();
+        // The executed program's digest, from a stored run of this
+        // pipeline on this program when there is one: then a hit optimizes
+        // nothing, and counts the stored run's counters as its own.
+        let (executed, optimized, stored_run) = match &pipeline {
+            None => (handed, None, None),
+            Some(pl) => {
+                let run_key = (handed, Arc::clone(pl));
+                // Its own statement, so the lock is released before optimizing.
+                let found = self.lock().run(&run_key);
+                match found {
+                    Some((executed, counters)) => (executed, None, Some(counters)),
+                    None => {
+                        let (q, counters) = pl.run_counted(program);
+                        let executed = text_digest(&q);
+                        self.store_run(run_key, executed, counters);
+                        (executed, Some(Arc::new(q)), None)
+                    }
+                }
+            }
+        };
         let key = Key {
             value: TypeId::of::<V>(),
             engine: crate::exec::engine(),
             threads: sim_pool::threads(),
             device: text_digest(device),
             handed,
-            executed: executed.as_deref().map_or(handed, text_digest),
+            executed,
             launch: text_digest(&(bindings, ndrange)),
             inputs: (0..pool.len()).map(|i| digest(pool.get(i))).collect(),
         };
@@ -261,6 +358,9 @@ impl Memo {
                     .collect();
                 drop(s);
                 self.reused.fetch_add(1, Ordering::Relaxed);
+                if let Some(counters) = stored_run {
+                    crate::opt::count(&counters);
+                }
                 for (i, data) in outputs {
                     *pool.get_mut(i) = BufferData::clone(&data);
                 }
@@ -281,7 +381,11 @@ impl Memo {
         };
         drop(s);
 
-        let value = crate::opt::with_executed(program, executed, || simulate(pool))?;
+        // A launch that took its digest from a stored run runs the pipeline
+        // here, which counts it: either way it counts one run.
+        let optimized = pipeline.map(|pl| optimized.unwrap_or_else(|| Arc::new(pl.run(program))));
+        let value = crate::opt::with_executed(program, optimized, || simulate(pool))?;
+        self.simulated.fetch_add(1, Ordering::Relaxed);
         let outputs: Vec<(usize, u128)> = (0..pool.len())
             .map(|i| (i, digest(pool.get(i))))
             .filter(|&(i, d)| d != key.inputs[i])
@@ -322,16 +426,36 @@ impl Memo {
                 }
             }
         }
-        s.tick += 1;
-        let tick = s.tick;
+        let tick = s.push(Slot::Launch(key.clone()));
         s.bytes += bytes;
-        s.order.insert(tick, key.clone());
         s.entries.insert(
             key,
             Entry {
                 value: Box::new(value),
                 outputs,
                 bytes,
+                tick,
+            },
+        );
+        while s.bytes > self.budget {
+            s.evict_oldest();
+        }
+    }
+
+    /// Store what a pipeline run made of a handed program, under the same
+    /// byte budget and LRU order as the entries.
+    fn store_run(&self, key: RunKey, executed: u128, counters: PassCounters) {
+        let mut s = self.lock();
+        if s.runs.contains_key(&key) {
+            return;
+        }
+        s.bytes += run_bytes(&key);
+        let tick = s.push(Slot::Run(key.clone()));
+        s.runs.insert(
+            key,
+            Run {
+                executed,
+                counters,
                 tick,
             },
         );
@@ -592,6 +716,75 @@ mod tests {
         memo.clear();
         assert_eq!(memo.lock().bytes, 0);
         assert!(run(&memo, &p, &mut pool_of(vec![1.0; 8]), 16), "cleared");
+    }
+
+    /// Under a pipeline, a launch stores its run's digest and counters
+    /// once per (program, pipeline), in the byte budget, and `clear`
+    /// drops them with the entries.
+    #[test]
+    fn a_pipeline_run_is_stored_once_per_program_and_pipeline() {
+        let memo = Memo::new(usize::MAX);
+        let p = inc_kernel("runs");
+        let full = Pipeline::full();
+        let launch = |pl: &Pipeline, k: f32| {
+            crate::opt::with_passes(Some(pl.clone()), || {
+                run(&memo, &p, &mut pool_of(vec![k; 4]), 0)
+            })
+        };
+        assert!(launch(&full, 1.0), "first launch simulates");
+        assert!(!launch(&full, 1.0), "a repeat hits");
+        assert!(launch(&full, 2.0), "other inputs, the same run");
+        {
+            let s = memo.lock();
+            assert_eq!(s.runs.len(), 1);
+            let run = &s.runs[&(text_digest(&p), Arc::new(full.clone()))];
+            let (q, counters) = full.run_counted(&p);
+            assert_eq!((run.executed, run.counters), (text_digest(&q), counters));
+            let own: usize = s.entries.values().map(|e| e.bytes).sum();
+            let buffers: usize = s.buffers.values().map(|(b, _)| b.bytes() as usize).sum();
+            assert_eq!(
+                s.bytes,
+                own + buffers + run_bytes(s.runs.keys().next().unwrap())
+            );
+        }
+        // Another pipeline that executes the same program is another run
+        // but the same launch.
+        assert!(!launch(&Pipeline::parse("dce,dce").unwrap(), 1.0));
+        assert_eq!(memo.lock().runs.len(), 2);
+        memo.clear();
+        let s = memo.lock();
+        assert!(s.runs.is_empty() && s.order.is_empty() && s.bytes == 0);
+    }
+
+    #[test]
+    fn runs_are_evicted_under_the_byte_budget() {
+        let p = inc_kernel("evict");
+        let budget = 3 * run_bytes(&(0, Arc::new(Pipeline::parse("cf").unwrap())));
+        let memo = Memo::new(budget);
+        let mut pool = pool_of(vec![1.0; 4]);
+        let nd = NDRange::d1(4, 1);
+        for pl in ["cf", "alg", "sr", "cse"] {
+            crate::opt::with_passes(Some(Pipeline::parse(pl).unwrap()), || {
+                memo.launch(
+                    &"cfg",
+                    &p,
+                    &BIND,
+                    &mut pool,
+                    nd,
+                    |_: &()| 0,
+                    |_| Err::<(), ()>(()),
+                )
+            })
+            .unwrap_err();
+        }
+        let s = memo.lock();
+        let kept: Vec<String> = s.runs.keys().map(|(_, pl)| pl.to_string()).collect();
+        assert_eq!(s.runs.len(), 3, "{kept:?}");
+        assert!(
+            !kept.contains(&"cf".to_string()),
+            "the oldest run went first"
+        );
+        assert_eq!(s.bytes, budget);
     }
 
     /// A miss on a key another thread is simulating waits for its result;

@@ -146,8 +146,14 @@ impl Pipeline {
     /// bug in this module and panics loudly rather than executing a
     /// miscompiled kernel.
     pub fn run(&self, p: &Program) -> Program {
+        self.run_counted(p).0
+    }
+
+    /// [`run`](Self::run), also returning the counters this run added to
+    /// [`stats`].
+    pub(crate) fn run_counted(&self, p: &Program) -> (Program, PassCounters) {
         if self.passes.is_empty() {
-            return p.clone();
+            return (p.clone(), PassCounters::default());
         }
         let mut func = ssa::Ssa::build(p);
         let mut counters = PassCounters {
@@ -174,9 +180,8 @@ impl Pipeline {
                 p.name
             );
         }
-        let mut g = STATS.lock().unwrap();
-        g.accumulate(&counters);
-        out
+        count(&counters);
+        (out, counters)
     }
 }
 
@@ -248,6 +253,13 @@ static STATS: Mutex<PassCounters> = Mutex::new(PassCounters {
     dead_stores: 0,
     dead_code: 0,
 });
+
+/// Add one run's counters to [`stats`]: what [`Pipeline::run`] does, and
+/// what the launch memo does for a launch that reuses a stored run instead
+/// of running its pipeline again.
+pub(crate) fn count(c: &PassCounters) {
+    STATS.lock().unwrap().accumulate(c);
+}
 
 /// Snapshot of the process-wide pass counters.
 pub fn stats() -> PassCounters {

@@ -22,8 +22,8 @@
 //!   harness cell payloads are written in.
 //! * [`json`] — a bounded, exact-integer JSON parser for request bodies.
 //! * [`http`] — minimal HTTP/1.1 server (a non-blocking reactor thread
-//!   plus a fixed worker pool with priority lanes) and a one-shot
-//!   client.
+//!   plus a fixed worker pool with priority lanes, keep-alive on
+//!   request) and a client that pools keep-alive connections.
 //! * [`cache`] — content-addressed LRU with deterministic `simcache v1`
 //!   snapshots, the one on-disk cell format (also `harness --state`).
 //! * [`scheduler`] — a single dispatcher that coalesces duplicate

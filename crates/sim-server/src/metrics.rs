@@ -291,15 +291,21 @@ pub fn render(
     out
 }
 
-/// Append the per-lane HTTP dispatch metrics (queue depth gauges,
-/// dispatch/promotion counters, queue-wait histograms) under the given
-/// family prefix (`sim_server` on shard pages, `sim_router` on the
-/// router's own page).
+/// Append the HTTP front-end metrics (accepted connections, per-lane
+/// queue depth gauges, dispatch/promotion counters, queue-wait
+/// histograms) under the given family prefix (`sim_server` on shard
+/// pages, `sim_router` on the router's own page).
 pub fn render_lanes(prefix: &str, lanes: &LaneSnapshot, out: &mut String) {
     let mut line = |name: String, help: &str, kind: &str, v: u64| {
         out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
         out.push_str(&format!("{name} {v}\n"));
     };
+    line(
+        format!("{prefix}_http_connections_total"),
+        "TCP connections accepted (kept-alive connections carry many requests).",
+        "counter",
+        lanes.connections,
+    );
     line(
         format!("{prefix}_lane_depth_interactive"),
         "HTTP requests queued in the interactive dispatch lane.",
@@ -594,6 +600,7 @@ mod tests {
             dispatched_interactive: 11,
             dispatched_bulk: 3,
             promoted_bulk: 1,
+            connections: 4,
             ..LaneSnapshot::default()
         };
         lanes.wait_interactive.record_us(50);
@@ -626,6 +633,7 @@ mod tests {
             "sim_server_lane_dispatched_interactive_total 11",
             "sim_server_lane_dispatched_bulk_total 3",
             "sim_server_lane_promoted_bulk_total 1",
+            "sim_server_http_connections_total 4",
             "sim_server_lane_wait_interactive_us_count 1",
             "sim_server_lane_wait_bulk_us_bucket{le=\"8192\"} 1",
             "sim_server_uptime_seconds 9",

@@ -201,6 +201,44 @@ fn every_metrics_line_belongs_to_a_declared_family() {
     s0.shutdown().unwrap();
 }
 
+/// Connections are kept and pooled at both hops: fifty sequential
+/// one-cell probes through the router accept a few connections on each
+/// process, not one per probe.
+#[test]
+fn routed_probes_reuse_kept_connections() {
+    let shards = [shard(256), shard(256)];
+    let router = router_over(&[&shards[0], &shards[1]]);
+    let addr = router.addr.to_string();
+    let benches: Vec<String> = test_suite().iter().map(|b| b.name().to_string()).collect();
+    for i in 0..50 {
+        let probe = format!(
+            r#"{{"scale":"test","cells":[{{"bench":"{}","version":"Serial","precision":"single"}}]}}"#,
+            benches[i % benches.len()]
+        );
+        assert_eq!(sweep(&addr, &probe).0, 200);
+    }
+    let mut pages = vec![(addr.clone(), "sim_router_http_connections_total")];
+    for s in &shards {
+        let at = s.addr.to_string();
+        assert!(
+            metric(&at, "sim_server_sweeps_total") > 0,
+            "{at} got no probe"
+        );
+        pages.push((at, "sim_server_http_connections_total"));
+    }
+    for (at, name) in pages {
+        let accepted = metric(&at, name);
+        assert!(
+            (1..=4).contains(&accepted),
+            "{at} accepted {accepted} connections for 50 probes"
+        );
+    }
+    router.shutdown().unwrap();
+    let [s0, s1] = shards;
+    s0.shutdown().unwrap();
+    s1.shutdown().unwrap();
+}
+
 /// Kill one shard: the sweep still answers 200, the dead shard's cells
 /// come back as structured `shard-down` failure rows, and every cell the
 /// surviving shard owns is untouched. `/healthz` turns 503 and names the

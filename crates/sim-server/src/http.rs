@@ -10,11 +10,12 @@
 //! costs an idle state machine instead of a wedged thread, an idle
 //! server never wakes, and one process can hold thousands of open
 //! connections. Complete requests are handed to a fixed pool of
-//! `--workers` handler threads through a two-lane priority queue:
-//! interactive traffic (cell lookups, probes, small sweeps — see
-//! [`classify_lane`]) is drained before bulk full-grid work, and a bulk
-//! request that has waited [`LANE_AGING_ROUNDS`] dispatch rounds is
-//! promoted so bulk is never starved. A request that sends
+//! `--workers` handler threads through the scheduler's two-lane queue
+//! (`scheduler::Lanes`, one request per pickup): interactive traffic
+//! (cell lookups, probes, small sweeps — see [`classify_lane`]) is
+//! dispatched before bulk full-grid work, and bulk passed over
+//! [`AGING_ROUNDS`](crate::scheduler::AGING_ROUNDS) consecutive pickups
+//! is promoted, so bulk is never starved. A request that sends
 //! `Connection: keep-alive` keeps its connection open for the next one
 //! (requests pipelined behind it are answered in order); any other
 //! request gets `Connection: close`. Bodies are framed by
@@ -36,7 +37,7 @@
 
 use crate::key::fnv1a64;
 use crate::panic_message;
-use crate::scheduler::Lane;
+use crate::scheduler::{Lane, Lanes};
 use sim_faults::{FaultPlan, FaultSite};
 use std::collections::VecDeque;
 use std::ffi::{c_int, c_short, c_ulong};
@@ -78,9 +79,6 @@ pub const DEFAULT_WORKERS: usize = 4;
 /// Default interactive-lane budget (`--priority-cells`): sweep bodies
 /// naming at most this many cells ride the interactive lane.
 pub const DEFAULT_PRIORITY_CELLS: usize = 8;
-/// A bulk request that has waited this many dispatch rounds (one round =
-/// one job handed to a worker) is promoted past the interactive lane.
-pub const LANE_AGING_ROUNDS: u64 = 8;
 
 // ---- poll(2) shim: std has no readiness wait, but links libc's ----
 
@@ -337,39 +335,36 @@ pub fn classify_lane(req: &Request, priority_cells: usize) -> Lane {
         .copied()
         .filter(|b| !b.is_ascii_whitespace())
         .collect();
-    if find_subslice(&compact, b"\"cells\":\"all\"").is_some() {
-        return Lane::Bulk;
-    }
-    if count_occurrences(&req.body, b"\"bench\"") <= priority_cells {
-        Lane::Interactive
-    } else {
+    if count_occurrences(&compact, b"\"cells\":\"all\"") > 0
+        || count_occurrences(&req.body, b"\"bench\"") > priority_cells
+    {
         Lane::Bulk
+    } else {
+        Lane::Interactive
     }
-}
-
-fn find_subslice(hay: &[u8], needle: &[u8]) -> Option<usize> {
-    hay.windows(needle.len()).position(|w| w == needle)
 }
 
 fn count_occurrences(hay: &[u8], needle: &[u8]) -> usize {
-    if hay.len() < needle.len() {
-        return 0;
-    }
     hay.windows(needle.len()).filter(|w| *w == needle).count()
 }
 
-/// Per-lane dispatch telemetry and the accepted-connection count,
-/// shared between the reactor (accept, enqueue), the workers (dispatch)
-/// and the `/metrics` page (snapshot).
+/// The worker dispatch queue with its per-lane telemetry, and the
+/// accepted-connection count, shared between the reactor (accept,
+/// enqueue), the workers (dispatch) and the `/metrics` page (snapshot,
+/// whose depth gauges read the queue itself).
 #[derive(Default)]
 pub struct LaneMetrics {
-    inner: Mutex<LaneCounters>,
+    inner: Mutex<Dispatch>,
+    /// Signalled on every enqueue, and on stop.
+    ready: Condvar,
     connections: AtomicU64,
 }
 
 #[derive(Default)]
-struct LaneCounters {
-    depth: [u64; 2],
+struct Dispatch {
+    queue: Lanes<PendingJob>,
+    /// The reactor has exited: workers return once the queue is empty.
+    stop: bool,
     dispatched: [u64; 2],
     promoted_bulk: u64,
     wait: [LatencyHistogram; 2],
@@ -390,30 +385,45 @@ pub struct LaneSnapshot {
 }
 
 impl LaneMetrics {
-    fn lock(&self) -> MutexGuard<'_, LaneCounters> {
+    fn lock(&self) -> MutexGuard<'_, Dispatch> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn on_enqueue(&self, lane: Lane) {
-        self.lock().depth[lane.index()] += 1;
+    fn enqueue(&self, job: PendingJob) {
+        self.lock().queue.push(job.req.lane, job);
+        self.ready.notify_one();
     }
 
-    fn on_dispatch(&self, lane: Lane, waited_us: u64, promoted: bool) {
+    fn stop_workers(&self) {
+        self.lock().stop = true;
+        self.ready.notify_all();
+    }
+
+    /// Block until a job is queued, then take it by the lane rule and
+    /// record its dispatch; `None` once stopped with an empty queue.
+    fn next_job(&self) -> Option<PendingJob> {
         let mut c = self.lock();
-        let i = lane.index();
-        c.depth[i] = c.depth[i].saturating_sub(1);
+        let (job, promoted) = loop {
+            if let Some(picked) = c.queue.pickup() {
+                break picked;
+            }
+            if c.stop {
+                return None;
+            }
+            c = self.ready.wait(c).unwrap_or_else(|e| e.into_inner());
+        };
+        let i = job.req.lane.index();
         c.dispatched[i] += 1;
-        if promoted {
-            c.promoted_bulk += 1;
-        }
-        c.wait[i].record_us(waited_us);
+        c.promoted_bulk += u64::from(promoted);
+        c.wait[i].record_us(u64::try_from(job.enqueued.elapsed().as_micros()).unwrap_or(u64::MAX));
+        Some(job)
     }
 
     pub fn snapshot(&self) -> LaneSnapshot {
         let c = self.lock();
         LaneSnapshot {
-            interactive_depth: c.depth[Lane::Interactive.index()],
-            bulk_depth: c.depth[Lane::Bulk.index()],
+            interactive_depth: c.queue.depth(Lane::Interactive) as u64,
+            bulk_depth: c.queue.depth(Lane::Bulk) as u64,
             dispatched_interactive: c.dispatched[Lane::Interactive.index()],
             dispatched_bulk: c.dispatched[Lane::Bulk.index()],
             promoted_bulk: c.promoted_bulk,
@@ -424,67 +434,15 @@ impl LaneMetrics {
     }
 }
 
-// ---- dispatch queue ----
-
 /// A complete request waiting for a worker.
 struct PendingJob {
     /// Connection slot to deliver the response to.
     token: usize,
     req: Request,
-    lane: Lane,
     enqueued: Instant,
-    /// Dispatch-round counter at enqueue time — the aging clock.
-    round: u64,
-}
-
-#[derive(Default)]
-struct DispatchState {
-    hi: VecDeque<PendingJob>,
-    lo: VecDeque<PendingJob>,
-    /// Jobs handed to workers so far; one pick = one round.
-    rounds: u64,
-    stop: bool,
-}
-
-impl DispatchState {
-    fn push(&mut self, mut job: PendingJob) {
-        job.round = self.rounds;
-        match job.lane {
-            Lane::Interactive => self.hi.push_back(job),
-            Lane::Bulk => self.lo.push_back(job),
-        }
-    }
-
-    /// Next job for a worker: interactive first, bulk otherwise — unless
-    /// the oldest bulk job has waited [`LANE_AGING_ROUNDS`] rounds, in
-    /// which case it is promoted past the interactive lane. Returns the
-    /// job and whether this pick was an aging promotion (i.e. it
-    /// overtook queued interactive work).
-    fn pick(&mut self) -> Option<(PendingJob, bool)> {
-        let aged = self
-            .lo
-            .front()
-            .is_some_and(|j| self.rounds.saturating_sub(j.round) >= LANE_AGING_ROUNDS);
-        let (job, promoted) = if aged {
-            (self.lo.pop_front(), !self.hi.is_empty())
-        } else if let Some(job) = self.hi.pop_front() {
-            (Some(job), false)
-        } else {
-            (self.lo.pop_front(), false)
-        };
-        let job = job?;
-        self.rounds += 1;
-        Some((job, promoted))
-    }
-}
-
-struct Dispatch {
-    st: Mutex<DispatchState>,
-    cv: Condvar,
 }
 
 fn worker_loop<H>(
-    dispatch: &Dispatch,
     completions: &Mutex<Vec<(usize, Response)>>,
     wake_tx: &UnixStream,
     lanes: &LaneMetrics,
@@ -492,24 +450,7 @@ fn worker_loop<H>(
 ) where
     H: Fn(&Request) -> Response + Send + Sync,
 {
-    loop {
-        let picked = {
-            let mut st = dispatch.st.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if let Some(p) = st.pick() {
-                    break Some(p);
-                }
-                if st.stop {
-                    break None;
-                }
-                st = dispatch.cv.wait(st).unwrap_or_else(|e| e.into_inner());
-            }
-        };
-        let Some((job, promoted)) = picked else {
-            return;
-        };
-        let waited_us = u64::try_from(job.enqueued.elapsed().as_micros()).unwrap_or(u64::MAX);
-        lanes.on_dispatch(job.lane, waited_us, promoted);
+    while let Some(job) = lanes.next_job() {
         // A panicking handler must cost one request, not the whole pool:
         // a panic out of a scoped worker would propagate from
         // `thread::scope` and kill the server.
@@ -836,25 +777,19 @@ impl Server {
         H: Fn(&Request) -> Response + Send + Sync,
     {
         self.listener.set_nonblocking(true)?;
-        let dispatch = Dispatch {
-            st: Mutex::new(DispatchState::default()),
-            cv: Condvar::new(),
-        };
         let completions: Mutex<Vec<(usize, Response)>> = Mutex::new(Vec::new());
         let handler = &handler;
-        let dispatch = &dispatch;
         let completions = &completions;
         std::thread::scope(|scope| {
             for _ in 0..self.workers.max(1) {
                 let lanes = &*self.lanes;
                 let wake_tx = &*self.wake_tx;
-                scope.spawn(move || worker_loop(dispatch, completions, wake_tx, lanes, handler));
+                scope.spawn(move || worker_loop(completions, wake_tx, lanes, handler));
             }
-            let result = self.reactor(dispatch, completions);
+            let result = self.reactor(completions);
             // Reactor exited ⇒ every dispatched request has completed (or
             // `poll` failed); release the workers.
-            dispatch.st.lock().unwrap_or_else(|e| e.into_inner()).stop = true;
-            dispatch.cv.notify_all();
+            self.lanes.stop_workers();
             result
         })
     }
@@ -862,11 +797,7 @@ impl Server {
     /// The event loop. Owns all connection state; sleeps in `poll` until a
     /// socket it owes I/O is ready, the wake pipe fires (completion or
     /// stop) or the nearest idle deadline passes, then steps just those.
-    fn reactor(
-        &self,
-        dispatch: &Dispatch,
-        completions: &Mutex<Vec<(usize, Response)>>,
-    ) -> io::Result<()> {
+    fn reactor(&self, completions: &Mutex<Vec<(usize, Response)>>) -> io::Result<()> {
         let mut conns: Vec<Option<Conn>> = Vec::new();
         let mut free: Vec<usize> = Vec::new();
         // Connections currently owned by a worker; their tokens stay
@@ -980,20 +911,12 @@ impl Server {
                             ),
                         };
                         handling += 1;
-                        let lane = classify_lane(&req, self.priority_cells);
-                        req.lane = lane;
-                        self.lanes.on_enqueue(lane);
-                        {
-                            let mut st = dispatch.st.lock().unwrap_or_else(|e| e.into_inner());
-                            st.push(PendingJob {
-                                token: i,
-                                req,
-                                lane,
-                                enqueued: Instant::now(),
-                                round: 0,
-                            });
-                        }
-                        dispatch.cv.notify_one();
+                        req.lane = classify_lane(&req, self.priority_cells);
+                        self.lanes.enqueue(PendingJob {
+                            token: i,
+                            req,
+                            enqueued: Instant::now(),
+                        });
                     }
                     IoStep::Close => {
                         conns[i] = None;
@@ -2302,43 +2225,6 @@ mod tests {
                 pc
             ),
             Lane::Bulk
-        );
-    }
-
-    /// Dispatch-order pin: interactive jobs overtake queued bulk jobs,
-    /// and a bulk job that has waited `LANE_AGING_ROUNDS` rounds is
-    /// promoted even while interactive work is still queued.
-    #[test]
-    fn dispatch_prefers_interactive_and_ages_bulk() {
-        let job = |lane: Lane, token: usize| PendingJob {
-            token,
-            req: lane_req("GET", "/", b""),
-            lane,
-            enqueued: Instant::now(),
-            round: 0,
-        };
-        let mut st = DispatchState::default();
-        st.push(job(Lane::Bulk, 100));
-        let extra = LANE_AGING_ROUNDS as usize + 2;
-        for i in 0..extra {
-            st.push(job(Lane::Interactive, i));
-        }
-        let mut picks = Vec::new();
-        while let Some((j, promoted)) = st.pick() {
-            picks.push((j.token, promoted));
-        }
-        // First LANE_AGING_ROUNDS picks are interactive, in FIFO order.
-        for (i, &(token, promoted)) in picks.iter().take(LANE_AGING_ROUNDS as usize).enumerate() {
-            assert_eq!((token, promoted), (i, false), "pick {i}");
-        }
-        // Then the aged bulk job is promoted past the remaining
-        // interactive work.
-        assert_eq!(picks[LANE_AGING_ROUNDS as usize], (100, true));
-        // And the leftover interactive jobs drain after it.
-        assert_eq!(
-            picks.len(),
-            extra + 1,
-            "every queued job must dispatch exactly once"
         );
     }
 

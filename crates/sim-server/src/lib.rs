@@ -69,5 +69,5 @@ pub use reqtrace::{RequestRecord, TraceConfig, TraceId, Tracer, TRACE_HEADER};
 pub use retry::{RetryPolicy, DEFAULT_RETRY_AFTER_SECS};
 pub use router::Ring;
 pub use scheduler::{
-    Abandoned, AdmitError, Lane, Scheduler, SchedulerStats, Slot, SlotTiming, BULK_AGING_ROUNDS,
+    Abandoned, AdmitError, Lane, Scheduler, SchedulerStats, Slot, SlotTiming, AGING_ROUNDS,
 };

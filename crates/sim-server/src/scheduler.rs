@@ -5,11 +5,11 @@
 //! [`admit`](Scheduler::admit) the cells a sweep still needs (all-or-
 //! nothing against the queue bound — a partially admitted sweep would
 //! strand queued work when the rest is rejected) and then block on the
-//! returned [`Slot`]s. The dispatcher drains the whole queue into one
-//! batch and hands it to the evaluation function, which fans the batch
-//! out on `sim-pool` — so distinct cells from concurrent sweeps share one
-//! fork/join region, and the pool is never entered from two threads at
-//! once.
+//! returned [`Slot`]s. The dispatcher drains the queue (by the lane rule
+//! below) into one batch and hands it to the evaluation function, which
+//! fans the batch out on `sim-pool` — so distinct cells from concurrent
+//! sweeps share one fork/join region, and the pool is never entered from
+//! two threads at once.
 //!
 //! Coalescing: a cell that is already queued or running is *joined*, not
 //! re-queued — both sweeps wait on the same slot and the simulator runs
@@ -18,13 +18,15 @@
 //! coalescing and arrival order can only change *when* a result is
 //! computed, never its bytes.
 //!
-//! Priority: admission carries a [`Lane`]. Interactive cells (single
-//! lookups, small sweeps) queue ahead of bulk full-grid work — the
-//! dispatcher drains the interactive queue into a batch first and leaves
-//! bulk cells parked — but a bulk queue that has been passed over for
-//! [`BULK_AGING_ROUNDS`] consecutive batches is merged into the next one
-//! (a *promotion*), so bulk work is delayed, never starved. Lanes move
-//! only *when* a cell is evaluated; its bytes are lane-independent.
+//! Priority: admission carries a [`Lane`], and the queue is a `Lanes`
+//! — the one lane policy of the serving stack, which the HTTP reactor's
+//! worker dispatch uses too. Interactive cells (single lookups, small
+//! sweeps) queue ahead of bulk full-grid work: the dispatcher drains the
+//! interactive queue into a batch and leaves bulk cells parked, but a
+//! bulk queue passed over for [`AGING_ROUNDS`] consecutive pickups is
+//! merged into the next batch (a *promotion*), so bulk work is delayed,
+//! never starved. Lanes move only *when* a cell is evaluated; its bytes
+//! are lane-independent.
 //!
 //! CPU priority: the dispatcher thread — and so every `sim-pool` worker
 //! it forks, which inherits the policy — runs under Linux `SCHED_IDLE`.
@@ -38,8 +40,8 @@ use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Which scheduler queue admitted cells ride. Interactive work is
-/// drained ahead of bulk; see the module docs for the aging rule.
+/// Which queue of a `Lanes` a cell or request rides. Interactive work is
+/// taken ahead of bulk; see the module docs for the aging rule.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Lane {
     /// Cell lookups, probes and small sweeps: drained first.
@@ -66,10 +68,91 @@ impl Lane {
     }
 }
 
-/// A parked bulk queue passed over for this many consecutive batch
-/// pickups is merged into the next batch regardless of interactive
-/// pressure.
-pub const BULK_AGING_ROUNDS: u64 = 2;
+/// A bulk queue passed over for this many consecutive pickups is taken
+/// by the next one regardless of interactive pressure.
+pub const AGING_ROUNDS: u32 = 2;
+
+/// Two FIFO queues, one per [`Lane`], and the aging clock that decides
+/// between them. The scheduler's dispatcher takes a whole batch per
+/// pickup ([`pickup_all`](Lanes::pickup_all)); the HTTP reactor's
+/// workers take one request ([`pickup`](Lanes::pickup)). Both follow the
+/// same rule, so priority means the same thing at both levels.
+pub(crate) struct Lanes<T> {
+    queues: [VecDeque<T>; 2],
+    /// Consecutive pickups that left a non-empty bulk queue behind.
+    passed_over: u32,
+}
+
+impl<T> Default for Lanes<T> {
+    fn default() -> Self {
+        Lanes {
+            queues: [VecDeque::new(), VecDeque::new()],
+            passed_over: 0,
+        }
+    }
+}
+
+impl<T> Lanes<T> {
+    pub fn push(&mut self, lane: Lane, item: T) {
+        self.queues[lane.index()].push_back(item);
+    }
+
+    /// Items queued in `lane`.
+    pub fn depth(&self, lane: Lane) -> usize {
+        self.queues[lane.index()].len()
+    }
+
+    /// Items queued in both lanes.
+    pub fn len(&self) -> usize {
+        self.queues.iter().map(VecDeque::len).sum()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Start a pickup: whether it takes bulk work, and whether that is a
+    /// promotion (bulk taken past waiting interactive work because it was
+    /// passed over [`AGING_ROUNDS`] consecutive pickups). Ticks the clock.
+    fn start_pickup(&mut self) -> (bool, bool) {
+        let waiting = |lane: Lane| !self.queues[lane.index()].is_empty();
+        let (interactive, bulk) = (waiting(Lane::Interactive), waiting(Lane::Bulk));
+        let promoted = interactive && bulk && self.passed_over >= AGING_ROUNDS;
+        let takes_bulk = promoted || !interactive;
+        self.passed_over = if bulk && !takes_bulk {
+            self.passed_over + 1
+        } else {
+            0
+        };
+        (takes_bulk, promoted)
+    }
+
+    /// Take one item: the oldest interactive one, or the oldest bulk one
+    /// when no interactive item waits or bulk is promoted. Returns the
+    /// item and whether the pickup was a promotion.
+    pub fn pickup(&mut self) -> Option<(T, bool)> {
+        let (takes_bulk, promoted) = self.start_pickup();
+        let lane = if takes_bulk {
+            Lane::Bulk
+        } else {
+            Lane::Interactive
+        };
+        Some((self.queues[lane.index()].pop_front()?, promoted))
+    }
+
+    /// Take every eligible item: the whole interactive queue, then the
+    /// whole bulk queue when no interactive item waits or bulk is
+    /// promoted. Returns the items and whether the pickup was a promotion.
+    pub fn pickup_all(&mut self) -> (Vec<T>, bool) {
+        let (takes_bulk, promoted) = self.start_pickup();
+        let [interactive, bulk] = &mut self.queues;
+        let mut items: Vec<T> = interactive.drain(..).collect();
+        if takes_bulk {
+            items.extend(bulk.drain(..));
+        }
+        (items, promoted)
+    }
+}
 
 /// Why a sweep could not be admitted.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -196,13 +279,8 @@ struct Job {
 
 #[derive(Default)]
 struct State {
-    /// Admitted interactive cells, not yet picked up by the dispatcher.
-    queue_hi: VecDeque<CellKey>,
-    /// Admitted bulk cells; drained after `queue_hi`, subject to aging.
-    queue_lo: VecDeque<CellKey>,
-    /// Consecutive batch pickups that left a non-empty bulk queue
-    /// parked — the aging clock.
-    bulk_skipped: u64,
+    /// Admitted cells not yet picked up by the dispatcher.
+    queue: Lanes<CellKey>,
     /// Every admitted-but-unfinished cell (queued or in the running
     /// batch); the coalescing index.
     active: HashMap<CellKey, Job>,
@@ -219,12 +297,6 @@ struct State {
     eval_panics: u64,
     abandoned: u64,
     bulk_promotions: u64,
-}
-
-impl State {
-    fn queued(&self) -> usize {
-        self.queue_hi.len() + self.queue_lo.len()
-    }
 }
 
 /// Live + lifetime scheduler numbers for `/metrics`.
@@ -321,10 +393,10 @@ impl Scheduler {
                 new_keys.insert(*key);
             }
         }
-        if st.queued() + new_keys.len() > self.queue_cap {
+        if st.queue.len() + new_keys.len() > self.queue_cap {
             st.rejected += 1;
             return Err(AdmitError::Busy {
-                queue_depth: st.queued(),
+                queue_depth: st.queue.len(),
                 queue_cap: self.queue_cap,
             });
         }
@@ -344,10 +416,7 @@ impl Scheduler {
                     slot: slot.clone(),
                 },
             );
-            match lane {
-                Lane::Interactive => st.queue_hi.push_back(key),
-                Lane::Bulk => st.queue_lo.push_back(key),
-            }
+            st.queue.push(lane, key);
             slots.push(slot);
         }
         drop(st);
@@ -358,9 +427,9 @@ impl Scheduler {
     pub fn stats(&self) -> SchedulerStats {
         let st = self.shared.st.lock().unwrap_or_else(|e| e.into_inner());
         SchedulerStats {
-            queue_depth: st.queued(),
-            interactive_depth: st.queue_hi.len(),
-            bulk_depth: st.queue_lo.len(),
+            queue_depth: st.queue.len(),
+            interactive_depth: st.queue.depth(Lane::Interactive),
+            bulk_depth: st.queue.depth(Lane::Bulk),
             in_flight: st.running,
             simulated: st.simulated,
             coalesced: st.coalesced,
@@ -435,8 +504,7 @@ impl Drop for DispatcherGuard<'_> {
         let mut st = self.shared.st.lock().unwrap_or_else(|e| e.into_inner());
         st.poisoned = true;
         st.running = 0;
-        st.queue_hi.clear();
-        st.queue_lo.clear();
+        st.queue = Lanes::default();
         let orphans: Vec<Arc<Slot>> = st.active.drain().map(|(_, job)| job.slot).collect();
         st.abandoned += orphans.len() as u64;
         drop(st);
@@ -466,34 +534,17 @@ where
     };
     let mut eval = make_eval();
     loop {
-        // Pick up a batch: the whole interactive queue first, with the
-        // bulk queue merged in only when no interactive work is waiting,
-        // the scheduler is draining, or the bulk queue has aged past
-        // `BULK_AGING_ROUNDS` consecutive pickups (a promotion).
         let batch: Vec<(CellKey, CellSpec, Arc<Slot>)> = {
             let mut st = shared.st.lock().unwrap_or_else(|e| e.into_inner());
-            while st.queued() == 0 && !st.shutdown {
+            while st.queue.is_empty() && !st.shutdown {
                 st = shared.work.wait(st).unwrap_or_else(|e| e.into_inner());
             }
-            if st.queued() == 0 && st.shutdown {
+            if st.queue.is_empty() && st.shutdown {
                 guard.clean_exit = true;
                 return;
             }
-            let take_hi = !st.queue_hi.is_empty();
-            let aged = st.bulk_skipped >= BULK_AGING_ROUNDS;
-            let take_lo = !st.queue_lo.is_empty() && (!take_hi || aged || st.shutdown);
-            let mut keys: Vec<CellKey> = st.queue_hi.drain(..).collect();
-            if take_lo {
-                if take_hi && aged {
-                    st.bulk_promotions += 1;
-                }
-                keys.extend(st.queue_lo.drain(..));
-                st.bulk_skipped = 0;
-            } else if st.queue_lo.is_empty() {
-                st.bulk_skipped = 0;
-            } else {
-                st.bulk_skipped += 1;
-            }
+            let (keys, promoted) = st.queue.pickup_all();
+            st.bulk_promotions += u64::from(promoted);
             st.running = keys.len();
             st.batches += 1;
             keys.into_iter()
@@ -608,6 +659,59 @@ mod tests {
             0,
             "the admitting thread is untouched"
         );
+    }
+
+    /// The one lane rule at both pickup widths, driven through the same
+    /// pushes: interactive first, bulk promoted on the pickup after
+    /// `AGING_ROUNDS` consecutive pickups passed it over, the clock
+    /// restarting after each promotion, and bulk taken without a
+    /// promotion once no interactive item waits.
+    #[test]
+    fn lanes_promote_bulk_passed_over_for_aging_rounds_pickups() {
+        let a = AGING_ROUNDS as usize;
+        let i = |n: usize| format!("i{n}");
+        let (mut one, mut all) = (Lanes::default(), Lanes::default());
+        let (mut got_one, mut got_all) = (Vec::new(), Vec::new());
+        for cycle in 0..2 {
+            one.push(Lane::Bulk, format!("b{cycle}"));
+            all.push(Lane::Bulk, format!("b{cycle}"));
+            for r in 0..=a {
+                one.push(Lane::Interactive, i(cycle * (a + 1) + r));
+                all.push(Lane::Interactive, i(cycle * (a + 1) + r));
+                got_one.push(one.pickup().unwrap());
+                got_all.push(all.pickup_all());
+            }
+        }
+        // A one-job pickup takes the promoted bulk item alone...
+        let want_one: Vec<(String, bool)> = (0..a)
+            .map(|n| (i(n), false))
+            .chain([("b0".into(), true)])
+            .chain((a..2 * a).map(|n| (i(n), false)))
+            .chain([("b1".into(), true)])
+            .collect();
+        assert_eq!(got_one, want_one);
+        // ...a whole-queue pickup merges it behind the interactive queue,
+        // at the same pickups.
+        let want_all: Vec<(Vec<String>, bool)> = (0..2)
+            .flat_map(|c| {
+                let base = c * (a + 1);
+                (0..a)
+                    .map(move |r| (vec![i(base + r)], false))
+                    .chain([(vec![i(base + a), format!("b{c}")], true)])
+            })
+            .collect();
+        assert_eq!(got_all, want_all);
+        assert!(all.is_empty());
+        assert_eq!(all.pickup_all(), (Vec::new(), false));
+        // The one-job queue still holds two interactive items; a bulk item
+        // pushed now waits for them, then goes without a promotion.
+        assert_eq!(one.depth(Lane::Interactive), 2);
+        one.push(Lane::Bulk, "b2".into());
+        assert_eq!((one.depth(Lane::Bulk), one.len()), (1, 3));
+        assert_eq!(one.pickup(), Some((i(2 * a), false)));
+        assert_eq!(one.pickup(), Some((i(2 * a + 1), false)));
+        assert_eq!(one.pickup(), Some(("b2".into(), false)));
+        assert_eq!(one.pickup(), None);
     }
 
     fn spec(bench: &str) -> CellSpec {
@@ -990,7 +1094,7 @@ mod tests {
         assert_eq!(sched.stats().bulk_promotions, 0);
     }
 
-    /// A bulk queue passed over for `BULK_AGING_ROUNDS` pickups is merged
+    /// A bulk queue passed over for `AGING_ROUNDS` pickups is merged
     /// into the next batch even though interactive work is still queued —
     /// bulk is delayed, never starved.
     #[test]
@@ -1040,7 +1144,7 @@ mod tests {
         // the parked bulk queue, ticking the aging clock; admit the next
         // interactive cell only after the pickup, so the bulk queue is
         // provably non-empty at every skip.
-        for round in 0..BULK_AGING_ROUNDS {
+        for round in 0..AGING_ROUNDS {
             release(); // finish current batch -> next pickup skips bulk
             await_pickup(2 + round as usize);
             slots.push(
@@ -1049,10 +1153,10 @@ mod tests {
                     .unwrap(),
             );
         }
-        // The aging clock has now hit BULK_AGING_ROUNDS: the next pickup
+        // The aging clock has now hit AGING_ROUNDS: the next pickup
         // merges the bulk queue in despite queued interactive work.
         release();
-        await_pickup(2 + BULK_AGING_ROUNDS as usize);
+        await_pickup(2 + AGING_ROUNDS as usize);
         let final_batch = batches.lock().unwrap().last().unwrap().clone();
         assert!(
             final_batch.contains(&"bulk".to_string()),

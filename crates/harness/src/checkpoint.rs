@@ -374,13 +374,13 @@ mod tests {
         }
         let bytes = cache.snapshot();
         let mut back = Cache::new(usize::MAX);
-        let n = back.restore(&bytes, |p| decode_entry(p).is_some());
+        let n = back.restore(&bytes, |p| decode_entry(p).map(|_| p.to_owned()));
         assert_eq!(n, Some(results.cells.len()));
         // Byte-exact: serializing the restored cells reproduces the file.
         assert_eq!(back.snapshot(), bytes);
         // Spot-check bit-exact floats through the round trip.
         for (k, e) in &results.cells {
-            let payload = &back.peek(spec(k).key()).expect("cell restored").payload;
+            let payload = &back.peek(spec(k).key()).expect("cell restored").value;
             match (e, &decode_entry(payload).unwrap()) {
                 (CellEntry::Ok(a), CellEntry::Ok(b)) => {
                     assert_eq!(a.outcome.time_s.to_bits(), b.outcome.time_s.to_bits());

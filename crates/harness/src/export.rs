@@ -8,8 +8,9 @@
 //! columns — so a plotting script sees the missing bars explicitly and a
 //! chaos sweep never silently loses a cell.
 
-use crate::runner::{CellEntry, SuiteResults};
+use crate::runner::{Cell, CellEntry, SuiteResults};
 use hpc_kernels::{Precision, Variant};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// CSV header, stable across releases (append-only policy).
@@ -150,8 +151,182 @@ fn jstr(s: &str) -> String {
     format!("\"{}\"", telemetry::json_escape(s))
 }
 
-fn jopt(r: Option<f64>) -> String {
-    r.map(jnum).unwrap_or_else(|| "null".into())
+/// The three measured quantities a row's ratio columns are taken
+/// against: a cell's own, or its Serial baseline's.
+#[derive(Clone, Copy, Debug)]
+struct RatioInputs {
+    time_s: f64,
+    mean_power_w: f64,
+    energy_j: f64,
+}
+
+impl RatioInputs {
+    fn of(cell: &Cell) -> RatioInputs {
+        RatioInputs {
+            time_s: cell.outcome.time_s,
+            mean_power_w: cell.measurement.mean_power_w,
+            energy_j: cell.energy_j,
+        }
+    }
+}
+
+/// One cell's JSONL row, rendered once and reused across requests.
+///
+/// Every column of a row depends on the cell alone except the three
+/// ratio columns (`speedup`, `power_ratio`, `energy_ratio`), which are
+/// taken against the Serial cell of the same (bench, precision) in the
+/// *request's* result set. So the row keeps its fixed text pre-rendered
+/// in two parts, `bench` … `iterations` and `note` …
+/// `arithmetic_intensity`, plus the cell's own ratio inputs, and
+/// [`render`](Row::render) writes the ratio columns between the two.
+/// Skip, fail and missing cells have no ratio columns: their whole row
+/// is fixed. `harness jsonl`, `serve` and `route` all render through
+/// this one type, so their bytes agree by construction.
+#[derive(Clone, Debug)]
+pub struct Row {
+    /// The whole row without its ratio columns.
+    text: String,
+    /// Where the ratio columns go in `text` (ok rows only).
+    split: usize,
+    /// `Some` exactly for ok cells: the row carries ratio columns.
+    ratios: Option<RatioInputs>,
+}
+
+impl Row {
+    /// Render the fixed parts of the cell at (`bench`, `v`, `prec`);
+    /// `None` is a cell the sweep does not hold (coordinates only).
+    pub fn new(bench: &str, v: Variant, prec: Precision, entry: Option<&CellEntry>) -> Row {
+        let mut text = format!(
+            "{{\"bench\":{},\"version\":{},\"precision\":{}",
+            jstr(bench),
+            jstr(&v.label().replace(' ', "-")),
+            jstr(prec.label())
+        );
+        let mut ratios = None;
+        match entry {
+            Some(CellEntry::Ok(cell)) => {
+                let _ = write!(
+                    text,
+                    ",\"status\":\"ok\",\"attempts\":{},\"time_s\":{},\"power_w\":{},\
+                     \"power_sigma_w\":{},\"energy_j\":{},\"iterations\":{}",
+                    cell.attempts,
+                    jnum(cell.outcome.time_s),
+                    jnum(cell.measurement.mean_power_w),
+                    jnum(cell.measurement.std_power_w),
+                    jnum(cell.energy_j),
+                    cell.iterations,
+                );
+                ratios = Some(RatioInputs::of(cell));
+                let split = text.len();
+                let c = &cell.counters;
+                let _ = write!(
+                    text,
+                    ",\"note\":{},\"output_digest\":\"{:016x}\",\"flops\":{},\"int_ops\":{},\
+                     \"special_ops\":{},\"total_ops\":{},\"avg_vector_width\":{},\"loads\":{},\
+                     \"stores\":{},\"atomics\":{},\"bytes_read\":{},\"bytes_written\":{},\
+                     \"l1_hit_rate\":{},\"l2_hit_rate\":{},\"dram_lines\":{},\
+                     \"dram_stream_fraction\":{},\"occupancy\":{},\"registers_per_thread\":{},\
+                     \"arithmetic_intensity\":{}}}",
+                    cell.outcome
+                        .note
+                        .as_deref()
+                        .map(jstr)
+                        .unwrap_or_else(|| "null".into()),
+                    cell.output_digest,
+                    jnum(c.flops),
+                    jnum(c.int_ops),
+                    jnum(c.special_ops),
+                    c.total_ops(),
+                    jnum(c.avg_vector_width()),
+                    c.loads,
+                    c.stores,
+                    c.atomics,
+                    c.bytes_read,
+                    c.bytes_written,
+                    jnum(c.l1_hit_rate()),
+                    jnum(c.l2_hit_rate()),
+                    c.dram_lines,
+                    jnum(c.dram_stream_fraction()),
+                    jnum(c.occupancy()),
+                    c.registers_per_thread,
+                    jnum(c.arithmetic_intensity()),
+                );
+                return Row {
+                    text,
+                    split,
+                    ratios,
+                };
+            }
+            Some(CellEntry::Skipped(reason)) => {
+                let _ = write!(
+                    text,
+                    ",\"status\":\"skip\",\"skip_reason\":{}",
+                    jstr(&reason.to_string())
+                );
+            }
+            Some(CellEntry::Failed(err)) => {
+                let _ = write!(
+                    text,
+                    ",\"status\":\"fail\",\"fail_kind\":{},\"fail_detail\":{},\
+                     \"attempts\":{},\"backoff_ms\":{}",
+                    jstr(err.kind.label()),
+                    jstr(&err.message),
+                    err.attempts,
+                    err.backoff_ms
+                );
+            }
+            None => {}
+        }
+        text.push('}');
+        let split = text.len();
+        Row {
+            text,
+            split,
+            ratios,
+        }
+    }
+
+    /// Append the row (no trailing newline) to `out`. `serial` is the
+    /// request's Serial row of the same (bench, precision), if it asked
+    /// for one; the ratio columns are `null` unless both it and this row
+    /// are ok cells.
+    pub fn render(&self, serial: Option<&Row>, out: &mut String) {
+        self.render_against(serial.and_then(|s| s.ratios), out);
+    }
+
+    fn render_against(&self, serial: Option<RatioInputs>, out: &mut String) {
+        out.push_str(&self.text[..self.split]);
+        if let Some(cell) = self.ratios {
+            let ratio = |f: fn(&RatioInputs, &RatioInputs) -> f64| {
+                serial.map_or_else(|| "null".into(), |s| jnum(f(&s, &cell)))
+            };
+            let _ = write!(
+                out,
+                ",\"speedup\":{},\"power_ratio\":{},\"energy_ratio\":{}",
+                ratio(|s, c| s.time_s / c.time_s),
+                ratio(|s, c| c.mean_power_w / s.mean_power_w),
+                ratio(|s, c| c.energy_j / s.energy_j),
+            );
+        }
+        out.push_str(&self.text[self.split..]);
+    }
+}
+
+/// Render `rows` in order as JSON Lines. Each row's ratio columns are
+/// taken against the Serial row of its (bench, precision) among `rows`
+/// themselves — the request's own result set — so a full grid
+/// reproduces `harness jsonl` and a subset without its baseline reports
+/// `null`.
+pub(crate) fn render_rows(rows: &[(&str, Variant, Precision, &Row)], out: &mut String) {
+    let serial: HashMap<(&str, Precision), &Row> = rows
+        .iter()
+        .filter(|(_, v, _, _)| *v == Variant::Serial)
+        .map(|&(bench, _, prec, row)| ((bench, prec), row))
+        .collect();
+    for &(bench, _, prec, row) in rows {
+        row.render(serial.get(&(bench, prec)).copied(), out);
+        out.push('\n');
+    }
 }
 
 /// Render the sweep as JSON Lines, one object per cell (skips included
@@ -169,97 +344,17 @@ pub fn to_jsonl(results: &SuiteResults) -> String {
 }
 
 /// Render one cell of the sweep as a single JSONL object (no trailing
-/// newline). Shared between [`to_jsonl`] and the serving layer's
-/// `POST /v1/sweep` response, which is what makes a served sweep
-/// byte-identical to the offline artifact: both go through this exact
-/// formatter, and the ratio columns come from the same [`SuiteResults`]
-/// accessors.
+/// newline), with ratio columns taken against `results`' Serial cell of
+/// the same (bench, precision). A one-row [`Row::render`].
 pub fn jsonl_row(results: &SuiteResults, bench: &str, v: Variant, prec: Precision) -> String {
-    let mut obj = vec![
-        ("bench".into(), jstr(bench)),
-        ("version".into(), jstr(&v.label().replace(' ', "-"))),
-        ("precision".into(), jstr(prec.label())),
-    ];
-    match results.entry(bench, v, prec) {
-        Some(CellEntry::Ok(cell)) => {
-            let c = &cell.counters;
-            obj.extend([
-                ("status".into(), jstr("ok")),
-                ("attempts".into(), format!("{}", cell.attempts)),
-                ("time_s".into(), jnum(cell.outcome.time_s)),
-                ("power_w".into(), jnum(cell.measurement.mean_power_w)),
-                ("power_sigma_w".into(), jnum(cell.measurement.std_power_w)),
-                ("energy_j".into(), jnum(cell.energy_j)),
-                ("iterations".into(), format!("{}", cell.iterations)),
-                ("speedup".into(), jopt(results.speedup(bench, v, prec))),
-                (
-                    "power_ratio".into(),
-                    jopt(results.power_ratio(bench, v, prec)),
-                ),
-                (
-                    "energy_ratio".into(),
-                    jopt(results.energy_ratio(bench, v, prec)),
-                ),
-                (
-                    "note".into(),
-                    cell.outcome
-                        .note
-                        .as_deref()
-                        .map(jstr)
-                        .unwrap_or_else(|| "null".into()),
-                ),
-                (
-                    "output_digest".into(),
-                    jstr(&format!("{:016x}", cell.output_digest)),
-                ),
-                ("flops".into(), jnum(c.flops)),
-                ("int_ops".into(), jnum(c.int_ops)),
-                ("special_ops".into(), jnum(c.special_ops)),
-                ("total_ops".into(), format!("{}", c.total_ops())),
-                ("avg_vector_width".into(), jnum(c.avg_vector_width())),
-                ("loads".into(), format!("{}", c.loads)),
-                ("stores".into(), format!("{}", c.stores)),
-                ("atomics".into(), format!("{}", c.atomics)),
-                ("bytes_read".into(), format!("{}", c.bytes_read)),
-                ("bytes_written".into(), format!("{}", c.bytes_written)),
-                ("l1_hit_rate".into(), jnum(c.l1_hit_rate())),
-                ("l2_hit_rate".into(), jnum(c.l2_hit_rate())),
-                ("dram_lines".into(), format!("{}", c.dram_lines)),
-                (
-                    "dram_stream_fraction".into(),
-                    jnum(c.dram_stream_fraction()),
-                ),
-                ("occupancy".into(), jnum(c.occupancy())),
-                (
-                    "registers_per_thread".into(),
-                    format!("{}", c.registers_per_thread),
-                ),
-                (
-                    "arithmetic_intensity".into(),
-                    jnum(c.arithmetic_intensity()),
-                ),
-            ]);
-        }
-        Some(CellEntry::Skipped(reason)) => {
-            obj.push(("status".into(), jstr("skip")));
-            obj.push(("skip_reason".into(), jstr(&reason.to_string())));
-        }
-        Some(CellEntry::Failed(err)) => {
-            obj.extend([
-                ("status".into(), jstr("fail")),
-                ("fail_kind".into(), jstr(err.kind.label())),
-                ("fail_detail".into(), jstr(&err.message)),
-                ("attempts".into(), format!("{}", err.attempts)),
-                ("backoff_ms".into(), format!("{}", err.backoff_ms)),
-            ]);
-        }
-        None => {}
-    }
-    let fields: Vec<String> = obj
-        .iter()
-        .map(|(k, v): &(String, String)| format!("{}:{v}", jstr(k)))
-        .collect();
-    format!("{{{}}}", fields.join(","))
+    let mut out = String::new();
+    Row::new(bench, v, prec, results.entry(bench, v, prec)).render_against(
+        results
+            .cell(bench, Variant::Serial, prec)
+            .map(RatioInputs::of),
+        &mut out,
+    );
+    out
 }
 
 #[cfg(test)]

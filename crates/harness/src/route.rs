@@ -42,9 +42,9 @@
 //!   such as uptime take the max) and appends `sim_router_*` lines, including per-shard breaker states.
 
 use crate::checkpoint;
-use crate::export;
-use crate::runner::{CellEntry, CellError, FailKind, SuiteResults};
-use crate::serve::{make_tracer, parse_sweep, precision_to_wire, spec_coord};
+use crate::export::{self, Row};
+use crate::runner::{CellEntry, CellError, FailKind};
+use crate::serve::{make_tracer, parse_sweep, precision_to_wire};
 use sim_faults::FaultPlan;
 use sim_server::breaker::{Breaker, Decision};
 use sim_server::http::{self, Request, Response, Server, StopHandle};
@@ -624,6 +624,7 @@ impl Router {
         // Each distinct cell gets an owner list: the primary plus
         // `replicas - 1` distinct ring successors it may fail over to.
         struct PendingCell<'a> {
+            key: CellKey,
             spec: &'a CellSpec,
             owners: Vec<usize>,
             /// Next owner rank to try.
@@ -632,12 +633,12 @@ impl Router {
         }
         let mut seen: HashSet<CellKey> = HashSet::new();
         let mut pending: Vec<PendingCell<'_>> = Vec::new();
-        for (spec, _) in &cells {
-            let key = spec.key();
-            if seen.insert(key) {
+        for c in &cells {
+            if seen.insert(c.key) {
                 pending.push(PendingCell {
-                    spec,
-                    owners: self.ring.owners(key, self.replicas),
+                    key: c.key,
+                    spec: &c.spec,
+                    owners: self.ring.owners(c.key, self.replicas),
                     rank: 0,
                     last_err: None,
                 });
@@ -698,7 +699,7 @@ impl Router {
             for idx in &exhausted {
                 let cell = &pending[*idx];
                 down.insert(
-                    cell.spec.key(),
+                    cell.key,
                     cell.last_err
                         .clone()
                         .unwrap_or_else(|| "no owner available".into()),
@@ -817,42 +818,32 @@ impl Router {
         }
         let shards_down = shards_down.len();
 
-        // Assemble one SuiteResults over exactly the requested cells and
-        // format once — the same shared `jsonl_row` path as the backends
-        // and the offline artifact, which is what keeps routed bytes
-        // identical to unrouted ones.
+        // Build one row per distinct cell and render the request once,
+        // ratio columns over the whole request — the same `Row` path as
+        // the backends and the offline artifact, which is what keeps
+        // routed bytes identical to unrouted ones.
         let format_off = us_since(started);
-        let mut results = SuiteResults {
-            cells: HashMap::new(),
-            bench_names: self.bench_names.clone(),
-        };
-        for (spec, _) in &cells {
-            let Some((coord, _)) = spec_coord(spec) else {
-                continue;
-            };
-            if results.cells.contains_key(&coord) {
-                continue;
-            }
-            let key = spec.key();
-            let entry = match payloads.get(&key) {
-                Some(payload) => checkpoint::decode_entry(payload)
-                    .unwrap_or_else(|| shard_down_entry("shard payload corrupt".into())),
-                None => shard_down_entry(
-                    down.get(&key)
-                        .cloned()
-                        .unwrap_or_else(|| "shard returned no payload for cell".into()),
-                ),
-            };
-            results.cells.insert(coord, entry);
+        let mut built: HashMap<CellKey, Row> = HashMap::with_capacity(seen.len());
+        for c in &cells {
+            built.entry(c.key).or_insert_with(|| {
+                let entry = match payloads.get(&c.key) {
+                    Some(payload) => checkpoint::decode_entry(payload)
+                        .unwrap_or_else(|| shard_down_entry("shard payload corrupt".into())),
+                    None => shard_down_entry(
+                        down.get(&c.key)
+                            .cloned()
+                            .unwrap_or_else(|| "shard returned no payload for cell".into()),
+                    ),
+                };
+                Row::new(&c.spec.bench, c.variant, c.prec, Some(&entry))
+            });
         }
+        let rows: Vec<_> = cells
+            .iter()
+            .map(|c| (c.spec.bench.as_str(), c.variant, c.prec, &built[&c.key]))
+            .collect();
         let mut body = String::new();
-        for (spec, prec) in &cells {
-            let Some(((bench, v, _), _)) = spec_coord(spec) else {
-                continue;
-            };
-            body.push_str(&export::jsonl_row(&results, &bench, v, *prec));
-            body.push('\n');
-        }
+        export::render_rows(&rows, &mut body);
         rec.span("format", format_off, us_since(started) - format_off);
         rec.note("cells", seen.len());
         rec.note("shards", self.shards.len());

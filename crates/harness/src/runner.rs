@@ -440,7 +440,7 @@ pub fn run_suite_with(benches: &[Box<dyn Benchmark>], cfg: &SuiteConfig) -> Suit
         if cfg.resume {
             let restored = std::fs::read(path)
                 .ok()
-                .and_then(|bytes| cache.restore(&bytes, |p| decode_entry(p).is_some()));
+                .and_then(|bytes| cache.restore(&bytes, |p| decode_entry(p).map(|_| p.to_owned())));
             if cfg.verbose {
                 log::progress(&match restored {
                     Some(n) => format!("resuming: {n} cells loaded from {}", path.display()),
@@ -457,10 +457,7 @@ pub fn run_suite_with(benches: &[Box<dyn Benchmark>], cfg: &SuiteConfig) -> Suit
         let spec = spec_of(bi, v, prec);
         if let Some((_, cache)) = &store {
             let cache = cache.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(e) = cache
-                .peek(spec.key())
-                .and_then(|c| decode_entry(&c.payload))
-            {
+            if let Some(e) = cache.peek(spec.key()).and_then(|c| decode_entry(&c.value)) {
                 return e;
             }
         }

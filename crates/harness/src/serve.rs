@@ -4,12 +4,18 @@
 //! scheduler) onto the simulator: request cells are normalized through
 //! [`checkpoint::cell_spec`] into the same key space the `--state`
 //! checkpoint uses, results are stored as [`checkpoint::encode_entry`]
-//! payloads, and sweep responses are rendered by [`export::jsonl_row`] —
-//! the exact formatter behind `harness jsonl`. Those three shared code
-//! paths are what make the service's contract hold: a served sweep is
+//! payloads, and sweep responses are rendered by [`export::Row`] — the
+//! exact formatter behind `harness jsonl`. Those three shared code paths
+//! are what make the service's contract hold: a served sweep is
 //! byte-identical to the offline artifact, a warm cache is
 //! indistinguishable from a cold one, and a checkpoint file *is* a cache
 //! file (`serve --cache suite.state`).
+//!
+//! A cache entry is a [`ServedCell`]: the payload plus the cell's `Row`,
+//! rendered from one decode the first time a sweep or cell lookup needs
+//! it. Every later hit only writes the row's fixed text around its three
+//! request-relative ratio columns. The router's data plane
+//! (`POST /v1/cells`) and the `--cache` file read the payload alone.
 //!
 //! Endpoints (see DESIGN.md §12 and the README quickstart):
 //!
@@ -32,12 +38,10 @@
 //! is computed, never what the client receives.
 
 use crate::checkpoint::{self, cell_spec};
-use crate::export;
-use crate::runner::{
-    run_one, CellCoord, CellEntry, CellError, FailKind, SuiteConfig, SuiteResults,
-};
+use crate::export::{self, Row};
+use crate::runner::{run_one, CellEntry, CellError, FailKind, SuiteConfig};
 use hpc_kernels::{Benchmark, Precision, Variant};
-use sim_server::cache::Cache;
+use sim_server::cache::{Cache, Payload};
 use sim_server::http::{self, Request, Response, Server, StopHandle};
 use sim_server::json::{self, Json};
 use sim_server::key::{CellKey, CellSpec};
@@ -46,10 +50,11 @@ use sim_server::reqtrace::{us_since, RequestRecord, TraceConfig, TraceId, Tracer
 use sim_server::retry::RetryPolicy;
 use sim_server::scheduler::{AdmitError, Lane, Scheduler, Slot};
 use std::collections::{HashMap, HashSet};
+use std::fmt::Write as _;
 use std::io::{self, Write};
 use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 use telemetry::log;
 
@@ -143,14 +148,15 @@ fn precision_from_wire(s: &str) -> Option<Precision> {
     }
 }
 
-pub(crate) fn spec_coord(spec: &CellSpec) -> Option<(CellCoord, Precision)> {
+/// A spec's version and precision (its bench is `spec.bench`).
+fn spec_coord(spec: &CellSpec) -> Option<(Variant, Precision)> {
     let v = variant_from_wire(&spec.version)?;
     let prec = match spec.precision {
         32 => Precision::F32,
         64 => Precision::F64,
         _ => return None,
     };
-    Some(((spec.bench.clone(), v, spec.precision), prec))
+    Some((v, prec))
 }
 
 /// Precision back onto the wire ("single" / "double"); inverse of
@@ -163,14 +169,39 @@ pub(crate) fn precision_to_wire(bits: u8) -> &'static str {
     }
 }
 
-/// Parse and validate a sweep request body into specs + coords, in
-/// request order. Returns a human-readable error for a 400. Shared by
-/// the single-process engine and the `harness route` front (the router
-/// must resolve cell keys itself to partition the sweep by shard).
-pub(crate) fn parse_sweep(
-    bench_names: &[String],
-    body: &[u8],
-) -> Result<Vec<(CellSpec, Precision)>, String> {
+/// One requested cell: its spec, the spec's content address (hashed
+/// once, here, for the whole request) and its coordinates.
+pub(crate) struct SweepCell {
+    pub(crate) key: CellKey,
+    pub(crate) spec: CellSpec,
+    pub(crate) variant: Variant,
+    pub(crate) prec: Precision,
+}
+
+impl SweepCell {
+    fn new(
+        scale: &str,
+        fault_seed: Option<u64>,
+        passes: Option<&str>,
+        bench: &str,
+        variant: Variant,
+        prec: Precision,
+    ) -> SweepCell {
+        let spec = cell_spec(scale, fault_seed, passes, bench, variant, prec);
+        SweepCell {
+            key: spec.key(),
+            spec,
+            variant,
+            prec,
+        }
+    }
+}
+
+/// Parse and validate a sweep request body into its cells, in request
+/// order. Returns a human-readable error for a 400. Shared by the
+/// single-process engine and the `harness route` front (the router must
+/// resolve cell keys itself to partition the sweep by shard).
+pub(crate) fn parse_sweep(bench_names: &[String], body: &[u8]) -> Result<Vec<SweepCell>, String> {
     let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
     let doc = json::parse(text).map_err(|e| format!("bad JSON: {e}"))?;
     let scale = match doc.get("scale") {
@@ -207,8 +238,12 @@ pub(crate) fn parse_sweep(
         for bench in bench_names {
             for prec in Precision::ALL {
                 for v in VERSIONS {
-                    out.push((
-                        cell_spec(scale, fault_seed, passes.as_deref(), bench, v, prec),
+                    out.push(SweepCell::new(
+                        scale,
+                        fault_seed,
+                        passes.as_deref(),
+                        bench,
+                        v,
                         prec,
                     ));
                 }
@@ -243,8 +278,12 @@ pub(crate) fn parse_sweep(
         let prec = precision_from_wire(precision).ok_or(format!(
             "cells[{i}]: unknown precision '{precision}' (have: single, double)"
         ))?;
-        out.push((
-            cell_spec(scale, fault_seed, passes.as_deref(), bench, v, prec),
+        out.push(SweepCell::new(
+            scale,
+            fault_seed,
+            passes.as_deref(),
+            bench,
+            v,
             prec,
         ));
     }
@@ -264,7 +303,8 @@ fn eval_batch(
     let raw = sim_pool::try_parallel_map(batch.len(), |i| {
         let spec = &batch[i];
         let benches = if spec.scale == "test" { test } else { paper };
-        let Some(((bench, v, _), prec)) = spec_coord(spec) else {
+        let bench = &spec.bench;
+        let Some((v, prec)) = spec_coord(spec) else {
             // Admission validates specs; reaching this means a bug, but a
             // structured failure row beats a panic in a long-lived server.
             return CellEntry::Failed(CellError {
@@ -274,7 +314,7 @@ fn eval_batch(
                 backoff_ms: 0,
             });
         };
-        let Some(bi) = benches.iter().position(|b| b.name() == bench) else {
+        let Some(bi) = benches.iter().position(|b| b.name() == *bench) else {
             return CellEntry::Failed(CellError {
                 kind: FailKind::Launch,
                 message: format!("unknown benchmark '{bench}'"),
@@ -320,6 +360,48 @@ fn eval_batch(
 
 // ---- the engine ----
 
+/// One cache entry of the serve engine: the encoded payload, which the
+/// `--cache` file persists and `POST /v1/cells` ships, and the cell's
+/// JSONL row, rendered from one decode of that payload by the first
+/// sweep or cell lookup that needs it. Shards behind `harness route`
+/// answer only `/v1/cells`, so they never render a row.
+struct ServedCell {
+    payload: String,
+    row: OnceLock<Row>,
+}
+
+impl ServedCell {
+    fn new(payload: String) -> Arc<ServedCell> {
+        Arc::new(ServedCell {
+            payload,
+            row: OnceLock::new(),
+        })
+    }
+
+    /// The cell's row; `bench`, `v` and `prec` are the coordinates of
+    /// the spec it is cached under. A payload that does not decode
+    /// renders as a failure row.
+    fn row(&self, bench: &str, v: Variant, prec: Precision) -> &Row {
+        self.row.get_or_init(|| {
+            let entry = checkpoint::decode_entry(&self.payload).unwrap_or_else(|| {
+                CellEntry::Failed(CellError {
+                    kind: FailKind::WorkerPanic,
+                    message: "cached payload corrupt".into(),
+                    attempts: 0,
+                    backoff_ms: 0,
+                })
+            });
+            Row::new(bench, v, prec, Some(&entry))
+        })
+    }
+}
+
+impl Payload for ServedCell {
+    fn payload(&self) -> &str {
+        &self.payload
+    }
+}
+
 /// Where a request's resolution time went, filled by [`Engine::resolve`].
 /// Per-cell vectors feed the stage histograms; the `_total` fields feed
 /// the request's trace spans.
@@ -342,8 +424,8 @@ struct ResolveReport {
 }
 
 struct Engine {
-    cache: Arc<Mutex<Cache>>,
-    scheduler: Scheduler,
+    cache: Arc<Mutex<Cache<Arc<ServedCell>>>>,
+    scheduler: Scheduler<Arc<ServedCell>>,
     metrics: Mutex<Metrics>,
     /// Benchmark names in suite order (identical for both scales).
     bench_names: Vec<String>,
@@ -369,7 +451,7 @@ struct CacheFile {
 }
 
 impl CacheFile {
-    fn persist(&self, cache: &Mutex<Cache>) {
+    fn persist(&self, cache: &Mutex<Cache<Arc<ServedCell>>>) {
         let Some(p) = &self.path else { return };
         let _writing = self.writing.lock().unwrap_or_else(|e| e.into_inner());
         let snapshot = cache.lock().unwrap_or_else(|e| e.into_inner()).snapshot();
@@ -404,7 +486,8 @@ impl Engine {
             if let Ok(bytes) = std::fs::read(path) {
                 let n = cache
                     .restore(&bytes, |payload| {
-                        checkpoint::decode_entry(payload).is_some()
+                        checkpoint::decode_entry(payload)?;
+                        Some(ServedCell::new(payload.to_owned()))
                     })
                     .unwrap_or(0);
                 log::progress(&format!(
@@ -428,15 +511,18 @@ impl Engine {
                 let test = hpc_kernels::test_suite();
                 let paper = hpc_kernels::suite();
                 move |batch: &[CellSpec]| {
-                    let payloads = eval_batch(&test, &paper, batch);
+                    let cells: Vec<Arc<ServedCell>> = eval_batch(&test, &paper, batch)
+                        .into_iter()
+                        .map(ServedCell::new)
+                        .collect();
                     {
                         let mut c = cache.lock().unwrap_or_else(|e| e.into_inner());
-                        for (spec, payload) in batch.iter().zip(&payloads) {
-                            c.insert(spec.clone(), payload.clone());
+                        for (spec, cell) in batch.iter().zip(&cells) {
+                            c.insert(spec.clone(), cell.clone());
                         }
                     }
                     cache_file.persist(&cache);
-                    payloads
+                    cells
                 }
             })
         };
@@ -540,30 +626,22 @@ impl Engine {
             return Response::json(404, "{\"error\":\"cell not in cache\"}\n");
         };
         let spec = cached.spec.clone();
-        let payload = cached.payload.clone();
+        let served = cached.value.clone();
         drop(cache);
-        let Some((coord, prec)) = spec_coord(&spec) else {
+        let Some((v, prec)) = spec_coord(&spec) else {
             return Response::json(500, "{\"error\":\"cached spec unresolvable\"}\n");
         };
-        let Some(entry) = checkpoint::decode_entry(&payload) else {
-            return Response::json(500, "{\"error\":\"cached payload corrupt\"}\n");
-        };
-        let (bench, v, _) = coord.clone();
-        let results = SuiteResults {
-            cells: HashMap::from([(coord, entry)]),
-            bench_names: vec![bench.clone()],
-        };
-        let row = export::jsonl_row(&results, &bench, v, prec);
-        Response::json(
-            200,
-            format!(
-                "{{\"key\":\"{key}\",\"spec\":\"{}\",\"row\":{row}}}\n",
-                json::escape(&spec.canonical())
-            ),
-        )
+        let row = served.row(&spec.bench, v, prec);
+        let mut body = format!(
+            "{{\"key\":\"{key}\",\"spec\":\"{}\",\"row\":",
+            json::escape(&spec.canonical())
+        );
+        row.render((v == Variant::Serial).then_some(row), &mut body);
+        body.push_str("}\n");
+        Response::json(200, body)
     }
 
-    /// Resolve payloads for a request's *distinct* cells: cache hits
+    /// Resolve the served cells for a request's *distinct* cells: cache hits
     /// immediately, misses through the scheduler. `Err` carries a
     /// ready-to-send backpressure/shutdown/failure response.
     ///
@@ -579,19 +657,20 @@ impl Engine {
     /// exactly with a single-process run.
     fn resolve(
         &self,
-        cells: &[(CellSpec, Precision)],
+        cells: &[SweepCell],
         lane: Lane,
         rep: &mut ResolveReport,
-    ) -> Result<HashMap<CellKey, String>, Response> {
-        let mut payloads: HashMap<CellKey, String> = HashMap::new();
-        let mut pending: Vec<(CellKey, Arc<Slot>)> = Vec::new();
+    ) -> Result<HashMap<CellKey, Arc<ServedCell>>, Response> {
+        let mut served: HashMap<CellKey, Arc<ServedCell>> = HashMap::new();
+        let mut pending: Vec<(CellKey, Arc<Slot<Arc<ServedCell>>>)> = Vec::new();
         {
             let lookup_started = Instant::now();
             let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
-            let mut need: Vec<CellSpec> = Vec::new();
-            for (spec, _) in cells {
-                let key = spec.key();
-                if payloads.contains_key(&key) || need.iter().any(|s| s.key() == key) {
+            let mut missing: HashSet<CellKey> = HashSet::new();
+            let mut need: Vec<(CellKey, CellSpec)> = Vec::new();
+            for cell in cells {
+                let key = cell.key;
+                if served.contains_key(&key) || missing.contains(&key) {
                     continue;
                 }
                 let probe_started = Instant::now();
@@ -600,11 +679,12 @@ impl Engine {
                 match cached {
                     Some(c) => {
                         rep.cache_hits += 1;
-                        payloads.insert(key, c.payload);
+                        served.insert(key, c);
                     }
                     None => {
                         rep.cache_misses += 1;
-                        need.push(spec.clone());
+                        missing.insert(key);
+                        need.push((key, cell.spec.clone()));
                     }
                 }
             }
@@ -614,7 +694,7 @@ impl Engine {
             rep.admit_us = us_since(admit_started);
             match admitted {
                 Ok(slots) => {
-                    pending.extend(need.iter().map(|s| s.key()).zip(slots));
+                    pending.extend(need.iter().map(|(key, _)| *key).zip(slots));
                 }
                 Err(AdmitError::Busy {
                     queue_depth,
@@ -663,8 +743,8 @@ impl Engine {
             rep.queue_us.push(timing.queue_us);
             rep.eval_us.push(timing.eval_us);
             match outcome {
-                Ok(payload) => {
-                    payloads.insert(key, payload);
+                Ok(cell) => {
+                    served.insert(key, cell);
                 }
                 Err(abandoned) => {
                     rep.wait_total_us = us_since(wait_started);
@@ -679,7 +759,7 @@ impl Engine {
             }
         }
         rep.wait_total_us = us_since(wait_started);
-        Ok(payloads)
+        Ok(served)
     }
 
     /// Record a finished (or failed) resolution into the stage
@@ -753,48 +833,27 @@ impl Engine {
             m.cells_requested += cells.len() as u64;
         }
         let mut rep = ResolveReport::default();
-        let payloads = match self.resolve(&cells, req.lane, &mut rep) {
-            Ok(p) => p,
+        let served = match self.resolve(&cells, req.lane, &mut rep) {
+            Ok(s) => s,
             Err(resp) => {
                 self.record_stages(rec, parse_us, &rep, None, started);
                 return resp;
             }
         };
 
-        // Decode into a SuiteResults over exactly the requested cells, so
-        // the shared jsonl formatter computes ratios against the request's
-        // own serial baselines (full grid => identical to `harness jsonl`).
+        // Ratio columns are taken against the request's own Serial
+        // cells (full grid => identical to `harness jsonl`).
         let format_started = Instant::now();
-        let mut results = SuiteResults {
-            cells: HashMap::new(),
-            bench_names: self.bench_names.clone(),
-        };
-        for (spec, _) in &cells {
-            let Some((coord, _)) = spec_coord(spec) else {
-                continue;
-            };
-            if results.cells.contains_key(&coord) {
-                continue;
-            }
-            let payload = &payloads[&spec.key()];
-            let entry = checkpoint::decode_entry(payload).unwrap_or_else(|| {
-                CellEntry::Failed(CellError {
-                    kind: FailKind::WorkerPanic,
-                    message: "cached payload corrupt".into(),
-                    attempts: 0,
-                    backoff_ms: 0,
-                })
-            });
-            results.cells.insert(coord, entry);
-        }
+        let rows: Vec<_> = cells
+            .iter()
+            .map(|c| {
+                let bench = c.spec.bench.as_str();
+                let row = served[&c.key].row(bench, c.variant, c.prec);
+                (bench, c.variant, c.prec, row)
+            })
+            .collect();
         let mut body = String::new();
-        for (spec, prec) in &cells {
-            let Some(((bench, v, _), _)) = spec_coord(spec) else {
-                continue;
-            };
-            body.push_str(&export::jsonl_row(&results, &bench, v, *prec));
-            body.push('\n');
-        }
+        export::render_rows(&rows, &mut body);
         self.record_stages(rec, parse_us, &rep, Some(us_since(format_started)), started);
         Response::jsonl(200, body)
     }
@@ -823,8 +882,8 @@ impl Engine {
             m.cells_requested += cells.len() as u64;
         }
         let mut rep = ResolveReport::default();
-        let payloads = match self.resolve(&cells, req.lane, &mut rep) {
-            Ok(p) => p,
+        let served = match self.resolve(&cells, req.lane, &mut rep) {
+            Ok(s) => s,
             Err(resp) => {
                 self.record_stages(rec, parse_us, &rep, None, started);
                 return resp;
@@ -833,10 +892,9 @@ impl Engine {
         let format_started = Instant::now();
         let mut body = String::new();
         let mut seen: HashSet<CellKey> = HashSet::new();
-        for (spec, _) in &cells {
-            let key = spec.key();
-            if seen.insert(key) {
-                body.push_str(&format!("{key} {}\n", payloads[&key]));
+        for c in &cells {
+            if seen.insert(c.key) {
+                let _ = writeln!(body, "{} {}", c.key, served[&c.key].payload);
             }
         }
         self.record_stages(rec, parse_us, &rep, Some(us_since(format_started)), started);

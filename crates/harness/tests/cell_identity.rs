@@ -176,7 +176,7 @@ fn checkpoint_keys_name_the_ambient_pipeline() {
     let mut cache = Cache::new(usize::MAX);
     let bytes = std::fs::read(&state).expect("checkpoint written");
     assert_eq!(
-        cache.restore(&bytes, |p| harness::decode_entry(p).is_some()),
+        cache.restore(&bytes, |p| harness::decode_entry(p).map(|_| p.to_owned())),
         Some(72)
     );
     for b in hpc_kernels::test_suite() {

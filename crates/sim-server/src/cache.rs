@@ -1,26 +1,49 @@
-//! Content-addressed result cache: [`CellKey`] → opaque result payload.
+//! Content-addressed result cache: [`CellKey`] → stored value.
 //!
-//! The cache stores *encoded* cell results (the owner wires in the
-//! harness entry codec) keyed by the canonical spec hash. An in-memory
-//! LRU with a configurable capacity fronts an optional on-disk snapshot:
-//! the whole cache serializes to a deterministic, sorted, line-oriented
-//! `simcache v1` document (same token codec as the key module) that the
-//! owner persists with `atomic_write`. It is the only on-disk cell
-//! format: `harness serve --cache` and the `harness --state` sweep
-//! checkpoint both write it, so either file restores into the other.
-//! Corrupt snapshot lines are dropped, not fatal — a damaged cache costs
-//! recomputation, never a crash.
+//! The cache is generic over what it stores per cell. Every value
+//! carries the *encoded* cell result (the owner wires in the harness
+//! entry codec), keyed by the canonical spec hash; the default value is
+//! that payload string alone, and an owner may keep more beside it
+//! (`harness serve` keeps the cell's lazily rendered JSONL row in the
+//! same value, so a hit never decodes twice). An in-memory LRU with a
+//! configurable capacity fronts an optional on-disk snapshot: the whole
+//! cache serializes to a deterministic, sorted, line-oriented
+//! `simcache v1` document (same token codec as the key module) of the
+//! payloads alone, which the owner persists with `atomic_write`. It is
+//! the only on-disk cell format: `harness serve --cache` and the
+//! `harness --state` sweep checkpoint both write it, so either file
+//! restores into the other. Corrupt snapshot lines are dropped, not
+//! fatal — a damaged cache costs recomputation, never a crash.
 
 use crate::key::{esc, unesc, CellKey, CellSpec, Tokens};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 const MAGIC: &str = "simcache v1";
 
-/// One cached result: the spec it answers plus the encoded payload.
+/// A cache value: whatever it holds, it gives back the encoded payload
+/// that [`Cache::snapshot`] persists.
+pub trait Payload {
+    fn payload(&self) -> &str;
+}
+
+impl Payload for String {
+    fn payload(&self) -> &str {
+        self
+    }
+}
+
+impl<T: Payload + ?Sized> Payload for Arc<T> {
+    fn payload(&self) -> &str {
+        (**self).payload()
+    }
+}
+
+/// One cached result: the spec it answers plus the stored value.
 #[derive(Clone, Debug)]
-pub struct CachedCell {
+pub struct CachedCell<V = String> {
     pub spec: CellSpec,
-    pub payload: String,
+    pub value: V,
     /// LRU stamp: larger = more recently used.
     stamp: u64,
 }
@@ -40,17 +63,19 @@ pub struct CacheStats {
 /// Not internally synchronized: the server owns it behind a mutex. All
 /// operations are O(1) except eviction's victim scan, which is O(n) —
 /// fine for the thousands-of-cells scale this serves, and it keeps the
-/// structure a plain `HashMap` with no unsafe intrusive lists.
-pub struct Cache {
+/// structure a plain `HashMap` with no unsafe intrusive lists. A hit
+/// hands out a clone of the value, so a value that is costly to copy
+/// belongs behind an `Arc`.
+pub struct Cache<V = String> {
     capacity: usize,
-    map: HashMap<CellKey, CachedCell>,
+    map: HashMap<CellKey, CachedCell<V>>,
     clock: u64,
     stats: CacheStats,
 }
 
-impl Cache {
+impl<V: Payload + Clone> Cache<V> {
     /// `capacity` of 0 disables storage entirely (every lookup misses).
-    pub fn new(capacity: usize) -> Cache {
+    pub fn new(capacity: usize) -> Cache<V> {
         Cache {
             capacity,
             map: HashMap::new(),
@@ -76,14 +101,14 @@ impl Cache {
     }
 
     /// Look up a key, refreshing its recency. Counts a hit or a miss.
-    pub fn get(&mut self, key: CellKey) -> Option<CachedCell> {
+    pub fn get(&mut self, key: CellKey) -> Option<V> {
         self.clock += 1;
         let clock = self.clock;
         match self.map.get_mut(&key) {
             Some(cell) => {
                 cell.stamp = clock;
                 self.stats.hits += 1;
-                Some(cell.clone())
+                Some(cell.value.clone())
             }
             None => {
                 self.stats.misses += 1;
@@ -93,13 +118,13 @@ impl Cache {
     }
 
     /// Look up without touching recency or counters (metrics, tests).
-    pub fn peek(&self, key: CellKey) -> Option<&CachedCell> {
+    pub fn peek(&self, key: CellKey) -> Option<&CachedCell<V>> {
         self.map.get(&key)
     }
 
     /// Insert (or refresh) a result, evicting the least-recently-used
     /// entries if over capacity. Idempotent for identical payloads.
-    pub fn insert(&mut self, spec: CellSpec, payload: String) {
+    pub fn insert(&mut self, spec: CellSpec, value: V) {
         if self.capacity == 0 {
             return;
         }
@@ -107,14 +132,7 @@ impl Cache {
         self.clock += 1;
         let stamp = self.clock;
         self.stats.insertions += 1;
-        self.map.insert(
-            key,
-            CachedCell {
-                spec,
-                payload,
-                stamp,
-            },
-        );
+        self.map.insert(key, CachedCell { spec, value, stamp });
         while self.map.len() > self.capacity {
             // O(n) victim scan; see the struct-level note.
             let victim = self
@@ -135,7 +153,13 @@ impl Cache {
         let mut lines: Vec<String> = self
             .map
             .iter()
-            .map(|(k, c)| format!("{k}|{}|{}", esc(&c.spec.canonical()), esc(&c.payload)))
+            .map(|(k, c)| {
+                format!(
+                    "{k}|{}|{}",
+                    esc(&c.spec.canonical()),
+                    esc(c.value.payload())
+                )
+            })
             .collect();
         lines.sort_unstable();
         let mut out = String::with_capacity(lines.iter().map(|l| l.len() + 1).sum::<usize>() + 16);
@@ -153,10 +177,11 @@ impl Cache {
     /// Returns the number of entries loaded, or `None` when the document
     /// is not a simcache at all. Lines whose stored key does not match
     /// the recomputed spec hash (tampering, torn write, schema change)
-    /// are dropped. `validate` lets the owner reject payloads it cannot
-    /// decode. Loaded entries land in sorted-key order (deterministic
-    /// recency) and respect capacity.
-    pub fn restore(&mut self, bytes: &[u8], validate: impl Fn(&str) -> bool) -> Option<usize> {
+    /// are dropped. `decode` turns a payload into the stored value, or
+    /// rejects a payload the owner cannot decode with `None`. Loaded
+    /// entries land in sorted-key order (deterministic recency) and
+    /// respect capacity.
+    pub fn restore(&mut self, bytes: &[u8], decode: impl Fn(&str) -> Option<V>) -> Option<usize> {
         let text = std::str::from_utf8(bytes).ok()?;
         let mut lines = text.lines();
         if lines.next()? != MAGIC {
@@ -169,26 +194,19 @@ impl Cache {
                 let key: CellKey = t.str()?.parse().ok()?;
                 let spec = CellSpec::from_canonical(&unesc(t.str()?)?)?;
                 let payload = unesc(t.str()?)?;
-                if spec.key() != key || !validate(&payload) {
+                if spec.key() != key {
                     return None;
                 }
-                Some((spec, payload))
+                Some((spec, decode(&payload)?))
             })();
-            if let Some((spec, payload)) = parsed {
+            if let Some((spec, value)) = parsed {
                 // Bypass the hit/miss/insertion counters: a warm start is
                 // bookkeeping, not traffic.
                 if self.capacity > 0 {
                     let key = spec.key();
                     self.clock += 1;
                     let stamp = self.clock;
-                    self.map.insert(
-                        key,
-                        CachedCell {
-                            spec,
-                            payload,
-                            stamp,
-                        },
-                    );
+                    self.map.insert(key, CachedCell { spec, value, stamp });
                     if self.map.len() <= self.capacity {
                         loaded += 1;
                     } else {
@@ -205,6 +223,11 @@ impl Cache {
 mod tests {
     use super::*;
 
+    /// A decoder that keeps every payload as it is.
+    fn keep(payload: &str) -> Option<String> {
+        Some(payload.to_owned())
+    }
+
     fn spec(bench: &str) -> CellSpec {
         CellSpec {
             sim_version: "0.1.0".into(),
@@ -220,12 +243,11 @@ mod tests {
 
     #[test]
     fn hit_miss_and_counters() {
-        let mut c = Cache::new(8);
+        let mut c: Cache = Cache::new(8);
         let k = spec("spmv").key();
         assert!(c.get(k).is_none());
         c.insert(spec("spmv"), "payload-a".into());
-        let got = c.get(k).unwrap();
-        assert_eq!(got.payload, "payload-a");
+        assert_eq!(c.get(k).unwrap(), "payload-a");
         assert_eq!(
             c.stats(),
             CacheStats {
@@ -239,7 +261,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_the_coldest() {
-        let mut c = Cache::new(2);
+        let mut c: Cache = Cache::new(2);
         c.insert(spec("a"), "1".into());
         c.insert(spec("b"), "2".into());
         // Touch "a" so "b" is the LRU victim.
@@ -254,7 +276,7 @@ mod tests {
 
     #[test]
     fn zero_capacity_stores_nothing() {
-        let mut c = Cache::new(0);
+        let mut c: Cache = Cache::new(0);
         c.insert(spec("a"), "1".into());
         assert!(c.is_empty());
         assert!(c.get(spec("a").key()).is_none());
@@ -262,29 +284,29 @@ mod tests {
 
     #[test]
     fn snapshot_is_deterministic_and_restores() {
-        let mut a = Cache::new(16);
+        let mut a: Cache = Cache::new(16);
         a.insert(spec("spmv"), "p1".into());
         a.insert(spec("vecop"), "p2".into());
         a.insert(spec("hist"), "p3".into());
         let snap = a.snapshot();
         // Insertion order must not matter.
-        let mut b = Cache::new(16);
+        let mut b: Cache = Cache::new(16);
         b.insert(spec("hist"), "p3".into());
         b.insert(spec("vecop"), "p2".into());
         b.insert(spec("spmv"), "p1".into());
         assert_eq!(snap, b.snapshot());
 
         let mut c = Cache::new(16);
-        assert_eq!(c.restore(&snap, |_| true), Some(3));
+        assert_eq!(c.restore(&snap, keep), Some(3));
         assert_eq!(c.snapshot(), snap);
         // Restore does not count as traffic.
         assert_eq!(c.stats(), CacheStats::default());
-        assert_eq!(c.get(spec("vecop").key()).unwrap().payload, "p2");
+        assert_eq!(c.get(spec("vecop").key()).unwrap(), "p2");
     }
 
     #[test]
     fn corrupt_snapshot_lines_are_dropped() {
-        let mut a = Cache::new(16);
+        let mut a: Cache = Cache::new(16);
         a.insert(spec("spmv"), "p1".into());
         a.insert(spec("vecop"), "p2".into());
         let mut text = String::from_utf8(a.snapshot()).unwrap();
@@ -303,16 +325,44 @@ mod tests {
         };
         let mut c = Cache::new(16);
         // Exactly one pristine line survives (the untampered second entry).
-        assert_eq!(c.restore(tampered.as_bytes(), |_| true), Some(1));
+        assert_eq!(c.restore(tampered.as_bytes(), keep), Some(1));
 
         // Validation hook rejects undecodable payloads.
         let mut d = Cache::new(16);
-        assert_eq!(d.restore(&a.snapshot(), |p| p != "p1"), Some(1));
+        assert_eq!(
+            d.restore(&a.snapshot(), |p| (p != "p1").then(|| p.to_owned())),
+            Some(1)
+        );
         assert!(d.peek(spec("spmv").key()).is_none());
         assert!(d.peek(spec("vecop").key()).is_some());
 
         // A foreign document is rejected outright.
-        assert_eq!(Cache::new(4).restore(b"nonsense\n", |_| true), None);
+        assert_eq!(Cache::new(4).restore(b"nonsense\n", keep), None);
+    }
+
+    /// A value kept behind an `Arc` is shared, not copied, by a hit, and
+    /// persists as its payload alone: the snapshot matches a plain
+    /// payload cache's byte for byte.
+    #[test]
+    fn arc_values_are_shared_on_hits_and_persist_as_payloads() {
+        let mut plain: Cache = Cache::new(16);
+        let mut shared: Cache<Arc<String>> = Cache::new(16);
+        for (name, payload) in [("spmv", "p1"), ("vecop", "p2")] {
+            plain.insert(spec(name), payload.to_owned());
+            shared.insert(spec(name), Arc::new(payload.to_owned()));
+        }
+        let hit = shared.get(spec("spmv").key()).unwrap();
+        assert!(Arc::ptr_eq(
+            &hit,
+            &shared.peek(spec("spmv").key()).unwrap().value
+        ));
+        assert_eq!(shared.snapshot(), plain.snapshot());
+        let mut back: Cache<Arc<String>> = Cache::new(16);
+        assert_eq!(
+            back.restore(&plain.snapshot(), |p| Some(Arc::new(p.to_owned()))),
+            Some(2)
+        );
+        assert_eq!(back.snapshot(), plain.snapshot());
     }
 
     #[test]
@@ -323,7 +373,7 @@ mod tests {
         }
         let snap = a.snapshot();
         let mut small = Cache::new(2);
-        let loaded = small.restore(&snap, |_| true).unwrap();
+        let loaded = small.restore(&snap, keep).unwrap();
         assert_eq!(loaded, 2);
         assert_eq!(small.len(), 2);
     }

@@ -1828,7 +1828,9 @@ mod tests {
                         fault_seed: None,
                         passes: None,
                     };
-                    let slots = sched.admit(&[spec], Lane::Interactive).unwrap();
+                    let slots = sched
+                        .admit(&[(spec.key(), spec)], Lane::Interactive)
+                        .unwrap();
                     let eval = slots[0].wait().unwrap();
                     Response::text(200, format!("{}/{eval}", current_sched_policy()))
                 })

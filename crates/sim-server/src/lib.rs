@@ -60,7 +60,7 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 }
 
 pub use breaker::{Breaker, BreakerState, Decision};
-pub use cache::{Cache, CacheStats, CachedCell};
+pub use cache::{Cache, CacheStats, CachedCell, Payload};
 pub use http::{classify_lane, LaneMetrics, LaneSnapshot, Request, Response, Server, StopHandle};
 pub use json::Json;
 pub use key::{CellKey, CellSpec, KEY_SCHEMA_VERSION};

@@ -192,15 +192,17 @@ pub struct SlotTiming {
 }
 
 /// A future result of one cell. Waiters block on [`wait`](Slot::wait).
+/// `P` is the evaluation function's per-cell result; every waiter gets a
+/// clone of it.
 #[derive(Debug)]
-pub struct Slot {
-    result: Mutex<Option<(Result<String, Abandoned>, SlotTiming)>>,
+pub struct Slot<P = String> {
+    result: Mutex<Option<(Result<P, Abandoned>, SlotTiming)>>,
     done: Condvar,
     admitted: Instant,
 }
 
-impl Slot {
-    fn new() -> Arc<Slot> {
+impl<P: Clone> Slot<P> {
+    fn new() -> Arc<Slot<P>> {
         Arc::new(Slot {
             result: Mutex::new(None),
             done: Condvar::new(),
@@ -212,12 +214,12 @@ impl Slot {
     /// success, [`Abandoned`] when the evaluation died. A slot is always
     /// settled eventually — fulfilled by a completed batch, or abandoned
     /// by the dispatcher's panic guards — so this cannot hang forever.
-    pub fn wait(&self) -> Result<String, Abandoned> {
+    pub fn wait(&self) -> Result<P, Abandoned> {
         self.wait_timed().0
     }
 
     /// [`wait`](Slot::wait), also reporting where the time went.
-    pub fn wait_timed(&self) -> (Result<String, Abandoned>, SlotTiming) {
+    pub fn wait_timed(&self) -> (Result<P, Abandoned>, SlotTiming) {
         let mut guard = self.result.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             if let Some((r, t)) = guard.as_ref() {
@@ -234,10 +236,7 @@ impl Slot {
     /// without panicking — a deadlock or unbounded loop in simulator
     /// code — settles nothing; before this existed such a cell hung its
     /// handler, and the connection, forever.
-    pub fn wait_deadline(
-        &self,
-        timeout: Duration,
-    ) -> Option<(Result<String, Abandoned>, SlotTiming)> {
+    pub fn wait_deadline(&self, timeout: Duration) -> Option<(Result<P, Abandoned>, SlotTiming)> {
         let deadline = Instant::now() + timeout;
         let mut guard = self.result.lock().unwrap_or_else(|e| e.into_inner());
         loop {
@@ -256,7 +255,7 @@ impl Slot {
         }
     }
 
-    fn settle(&self, result: Result<String, Abandoned>, timing: SlotTiming) {
+    fn settle(&self, result: Result<P, Abandoned>, timing: SlotTiming) {
         let mut guard = self.result.lock().unwrap_or_else(|e| e.into_inner());
         // First writer wins: a batch-panic abandonment and the dispatcher
         // exit guard may both reach the same slot.
@@ -272,18 +271,17 @@ impl Slot {
     }
 }
 
-struct Job {
+struct Job<P> {
     spec: CellSpec,
-    slot: Arc<Slot>,
+    slot: Arc<Slot<P>>,
 }
 
-#[derive(Default)]
-struct State {
+struct State<P> {
     /// Admitted cells not yet picked up by the dispatcher.
     queue: Lanes<CellKey>,
     /// Every admitted-but-unfinished cell (queued or in the running
     /// batch); the coalescing index.
-    active: HashMap<CellKey, Job>,
+    active: HashMap<CellKey, Job<P>>,
     /// Cells in the batch currently being evaluated.
     running: usize,
     shutdown: bool,
@@ -297,6 +295,25 @@ struct State {
     eval_panics: u64,
     abandoned: u64,
     bulk_promotions: u64,
+}
+
+impl<P> Default for State<P> {
+    fn default() -> Self {
+        State {
+            queue: Lanes::default(),
+            active: HashMap::new(),
+            running: 0,
+            shutdown: false,
+            poisoned: false,
+            simulated: 0,
+            coalesced: 0,
+            rejected: 0,
+            batches: 0,
+            eval_panics: 0,
+            abandoned: 0,
+            bulk_promotions: 0,
+        }
+    }
 }
 
 /// Live + lifetime scheduler numbers for `/metrics`.
@@ -321,19 +338,21 @@ pub struct SchedulerStats {
     pub bulk_promotions: u64,
 }
 
-struct Shared {
-    st: Mutex<State>,
+struct Shared<P> {
+    st: Mutex<State<P>>,
     work: Condvar,
 }
 
 /// The coalescing batch scheduler. See the module docs for the contract.
-pub struct Scheduler {
-    shared: Arc<Shared>,
+/// `P` is what the evaluation function returns per cell (an encoded
+/// payload by default); waiters receive clones of it.
+pub struct Scheduler<P = String> {
+    shared: Arc<Shared<P>>,
     queue_cap: usize,
     dispatcher: Option<std::thread::JoinHandle<()>>,
 }
 
-impl Scheduler {
+impl<P: Clone + Send + 'static> Scheduler<P> {
     /// Start the dispatcher (at idle CPU priority, see the module docs).
     ///
     /// `make_eval` runs once *on the dispatcher thread* and returns the
@@ -341,10 +360,10 @@ impl Scheduler {
     /// thread-bound state (benchmark suites are `Sync` but not `Send`)
     /// without requiring it to cross threads. The evaluation function
     /// must return exactly one payload per input spec, in order.
-    pub fn start<M, F>(queue_cap: usize, make_eval: M) -> Scheduler
+    pub fn start<M, F>(queue_cap: usize, make_eval: M) -> Scheduler<P>
     where
         M: FnOnce() -> F + Send + 'static,
-        F: FnMut(&[CellSpec]) -> Vec<String>,
+        F: FnMut(&[CellSpec]) -> Vec<P>,
     {
         let shared = Arc::new(Shared {
             st: Mutex::new(State::default()),
@@ -367,16 +386,23 @@ impl Scheduler {
         }
     }
 
-    /// Admit the distinct cells a sweep still needs, into `lane`. Returns
-    /// one slot per input (coalesced cells share slots with earlier
-    /// sweeps, regardless of lane — the cell runs once either way). All-
-    /// or-nothing: when the *new* cells would push the combined queue
-    /// past its bound, nothing is enqueued and the caller gets
-    /// [`AdmitError::Busy`].
-    pub fn admit(&self, cells: &[CellSpec], lane: Lane) -> Result<Vec<Arc<Slot>>, AdmitError> {
-        // Hash every spec before taking the lock: the canonicalization is
-        // the expensive part and needs no shared state.
-        let keys: Vec<CellKey> = cells.iter().map(CellSpec::key).collect();
+    /// Admit the distinct cells a sweep still needs, into `lane`, each
+    /// with its key (the caller hashed it once already). Returns one slot
+    /// per input (coalesced cells share slots with earlier sweeps,
+    /// regardless of lane — the cell runs once either way). All-or-
+    /// nothing: when the *new* cells would push the combined queue past
+    /// its bound, nothing is enqueued and the caller gets
+    /// [`AdmitError::Busy`]. An empty list is admitted at once, without
+    /// the lock or a dispatcher wakeup — even by a scheduler that is
+    /// shutting down or poisoned, since there is nothing to evaluate.
+    pub fn admit(
+        &self,
+        cells: &[(CellKey, CellSpec)],
+        lane: Lane,
+    ) -> Result<Vec<Arc<Slot<P>>>, AdmitError> {
+        if cells.is_empty() {
+            return Ok(Vec::new());
+        }
         let mut st = self.shared.st.lock().unwrap_or_else(|e| e.into_inner());
         if st.shutdown {
             return Err(AdmitError::ShuttingDown);
@@ -387,8 +413,8 @@ impl Scheduler {
         // First pass: count how many are genuinely new (a sweep may also
         // carry duplicates within itself — those coalesce too). A set, not
         // a `contains` scan: paper-scale sweeps made this pass O(n²).
-        let mut new_keys: HashSet<CellKey> = HashSet::with_capacity(keys.len());
-        for key in &keys {
+        let mut new_keys: HashSet<CellKey> = HashSet::with_capacity(cells.len());
+        for (key, _) in cells {
             if !st.active.contains_key(key) {
                 new_keys.insert(*key);
             }
@@ -401,7 +427,7 @@ impl Scheduler {
             });
         }
         let mut slots = Vec::with_capacity(cells.len());
-        for (spec, &key) in cells.iter().zip(&keys) {
+        for &(key, ref spec) in cells {
             if let Some(job) = st.active.get(&key) {
                 let shared = job.slot.clone();
                 st.coalesced += 1;
@@ -423,7 +449,9 @@ impl Scheduler {
         self.shared.work.notify_one();
         Ok(slots)
     }
+}
 
+impl<P> Scheduler<P> {
     pub fn stats(&self) -> SchedulerStats {
         let st = self.shared.st.lock().unwrap_or_else(|e| e.into_inner());
         SchedulerStats {
@@ -455,7 +483,7 @@ impl Scheduler {
     }
 }
 
-impl Drop for Scheduler {
+impl<P> Drop for Scheduler<P> {
     fn drop(&mut self) {
         self.shutdown();
     }
@@ -491,12 +519,12 @@ fn lower_to_idle_priority() {
 /// per-batch `catch_unwind` (e.g. `make_eval` itself panicked), mark the
 /// scheduler poisoned and abandon every admitted job, so waiters error
 /// out instead of blocking on slots nobody will ever settle.
-struct DispatcherGuard<'a> {
-    shared: &'a Shared,
+struct DispatcherGuard<'a, P: Clone> {
+    shared: &'a Shared<P>,
     clean_exit: bool,
 }
 
-impl Drop for DispatcherGuard<'_> {
+impl<P: Clone> Drop for DispatcherGuard<'_, P> {
     fn drop(&mut self) {
         if self.clean_exit {
             return;
@@ -505,7 +533,7 @@ impl Drop for DispatcherGuard<'_> {
         st.poisoned = true;
         st.running = 0;
         st.queue = Lanes::default();
-        let orphans: Vec<Arc<Slot>> = st.active.drain().map(|(_, job)| job.slot).collect();
+        let orphans: Vec<Arc<Slot<P>>> = st.active.drain().map(|(_, job)| job.slot).collect();
         st.abandoned += orphans.len() as u64;
         drop(st);
         for slot in orphans {
@@ -523,10 +551,10 @@ impl Drop for DispatcherGuard<'_> {
     }
 }
 
-fn dispatcher_loop<M, F>(shared: &Shared, make_eval: M)
+fn dispatcher_loop<M, F, P: Clone>(shared: &Shared<P>, make_eval: M)
 where
     M: FnOnce() -> F,
-    F: FnMut(&[CellSpec]) -> Vec<String>,
+    F: FnMut(&[CellSpec]) -> Vec<P>,
 {
     let mut guard = DispatcherGuard {
         shared,
@@ -534,7 +562,7 @@ where
     };
     let mut eval = make_eval();
     loop {
-        let batch: Vec<(CellKey, CellSpec, Arc<Slot>)> = {
+        let batch: Vec<(CellKey, CellSpec, Arc<Slot<P>>)> = {
             let mut st = shared.st.lock().unwrap_or_else(|e| e.into_inner());
             while st.queue.is_empty() && !st.shutdown {
                 st = shared.work.wait(st).unwrap_or_else(|e| e.into_inner());
@@ -714,8 +742,9 @@ mod tests {
         assert_eq!(one.pickup(), None);
     }
 
-    fn spec(bench: &str) -> CellSpec {
-        CellSpec {
+    /// A cell with its key, as handlers admit it.
+    fn spec(bench: &str) -> (CellKey, CellSpec) {
+        let spec = CellSpec {
             sim_version: "0.1.0".into(),
             device: "dev".into(),
             scale: "test".into(),
@@ -724,7 +753,8 @@ mod tests {
             precision: 32,
             fault_seed: None,
             passes: None,
-        }
+        };
+        (spec.key(), spec)
     }
 
     fn echo_eval() -> impl FnMut(&[CellSpec]) -> Vec<String> {
@@ -1123,13 +1153,28 @@ mod tests {
                 }
             })
         };
+        // Declared after `sched`, so it drops first: a failed assert
+        // opens the permits for good, the dispatcher finishes every
+        // batch, and the scheduler's drop joins it instead of waiting
+        // forever on a permit nobody will release.
+        struct OpenOnDrop(Arc<(Mutex<u64>, Condvar)>);
+        impl Drop for OpenOnDrop {
+            fn drop(&mut self) {
+                let (lock, cv) = &*self.0;
+                *lock.lock().unwrap_or_else(|e| e.into_inner()) = u64::MAX;
+                cv.notify_all();
+            }
+        }
+        let _open_on_drop = OpenOnDrop(permits.clone());
         let release = || {
             let (lock, cv) = &*permits;
             *lock.lock().unwrap() += 1;
             cv.notify_all();
         };
         let await_pickup = |want: usize| {
-            while batches.lock().unwrap().len() != want {
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while batches.lock().unwrap().len() < want {
+                assert!(Instant::now() < deadline, "no pickup {want}");
                 std::thread::sleep(Duration::from_millis(1));
             }
         };
@@ -1168,8 +1213,36 @@ mod tests {
         }
         assert_eq!(sched.stats().bulk_promotions, 1);
         assert_eq!(sched.stats().bulk_depth, 0);
-        // Drain any stray permit waiters before drop joins the thread.
-        release();
+    }
+
+    /// A request whose cells all hit the cache admits nothing: no slot,
+    /// no evaluation, no counter moves — and it is answered even by a
+    /// scheduler that could no longer admit real work.
+    #[test]
+    fn empty_admit_evaluates_nothing_and_leaves_stats_unchanged() {
+        let evals = Arc::new(AtomicU64::new(0));
+        let mut sched = {
+            let evals = evals.clone();
+            Scheduler::start(64, move || {
+                move |specs: &[CellSpec]| {
+                    evals.fetch_add(1, Ordering::SeqCst);
+                    specs.iter().map(|s| s.bench.clone()).collect::<Vec<_>>()
+                }
+            })
+        };
+        let before = sched.stats();
+        for lane in [Lane::Interactive, Lane::Bulk] {
+            assert!(sched.admit(&[], lane).unwrap().is_empty());
+        }
+        assert_eq!(sched.stats(), before);
+        sched.shutdown();
+        assert!(sched.admit(&[], Lane::Interactive).unwrap().is_empty());
+        assert_eq!(
+            sched.admit(&[spec("late")], Lane::Interactive).unwrap_err(),
+            AdmitError::ShuttingDown
+        );
+        assert_eq!(evals.load(Ordering::SeqCst), 0);
+        assert_eq!(sched.stats().batches, 0);
     }
 
     /// `wait_deadline` returns `None` when evaluation wedges without

@@ -16,11 +16,11 @@ fn load(path: &std::path::Path) -> Vec<CellEntry> {
     let text = std::fs::read_to_string(path).unwrap();
     let mut cache = Cache::new(usize::MAX);
     cache
-        .restore(text.as_bytes(), |p| decode_entry(p).is_some())
+        .restore(text.as_bytes(), |p| decode_entry(p).map(|_| p.to_owned()))
         .expect("a simcache file");
     text.lines()
         .filter_map(|l| cache.peek(l.split('|').next()?.parse().ok()?))
-        .map(|c| decode_entry(&c.payload).unwrap())
+        .map(|c| decode_entry(&c.value).unwrap())
         .collect()
 }
 

@@ -8,9 +8,10 @@
 //! regardless of thread count, cache state or arrival order.
 
 use harness::runner::run_suite_with;
-use harness::{to_jsonl, SuiteConfig};
+use harness::{to_jsonl, CellEntry, SuiteConfig, SuiteResults};
 use hpc_kernels::{test_suite, Precision, Variant};
 use sim_server::http::request;
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::OnceLock;
 use std::time::Duration;
@@ -172,6 +173,241 @@ fn subset_sweeps_coalesce_and_order_rows() {
     // Only Serial was new; the OpenCL cell came from cache.
     assert_eq!(metric(&addr, "sim_server_cells_simulated_total"), 2);
 
+    srv.shutdown().unwrap();
+}
+
+/// The offline reference for one requested cell: the cell run alone
+/// through `run_one` under the request's fault seed, isolated on
+/// `sim-pool` the way the server evaluates a cell (an injected worker
+/// death becomes the suite's `worker-panic` failure entry). Memoized
+/// per (cell, seed).
+fn reference_entry(
+    memo: &mut HashMap<(usize, Variant, Precision, Option<u64>), CellEntry>,
+    cell: (usize, Variant, Precision),
+    fault_seed: Option<u64>,
+) -> CellEntry {
+    let (b, v, prec) = cell;
+    memo.entry((b, v, prec, fault_seed))
+        .or_insert_with(|| {
+            let cfg = SuiteConfig {
+                faults: fault_seed.map(sim_faults::FaultPlan::new),
+                ..SuiteConfig::default()
+            };
+            let suite = test_suite();
+            let mut run = sim_pool::try_parallel_map(1, |_| {
+                harness::run_one(suite[b].as_ref(), b, v, prec, &cfg)
+            });
+            run.pop().unwrap().unwrap_or_else(|tp| {
+                CellEntry::Failed(harness::CellError {
+                    kind: harness::FailKind::WorkerPanic,
+                    message: tp.message,
+                    attempts: 1,
+                    backoff_ms: 0,
+                })
+            })
+        })
+        .clone()
+}
+
+/// A `SuiteResults` holding exactly `cells` (duplicates collapse).
+fn reference_results(
+    memo: &mut HashMap<(usize, Variant, Precision, Option<u64>), CellEntry>,
+    cells: &[(usize, Variant, Precision)],
+    fault_seed: Option<u64>,
+) -> SuiteResults {
+    let bench_names: Vec<String> = test_suite().iter().map(|b| b.name().to_string()).collect();
+    let mut results = SuiteResults {
+        cells: HashMap::new(),
+        bench_names,
+    };
+    for &(b, v, prec) in cells {
+        let bits = if prec == Precision::F32 { 32 } else { 64 };
+        let entry = reference_entry(memo, (b, v, prec), fault_seed);
+        results
+            .cells
+            .insert((results.bench_names[b].clone(), v, bits), entry);
+    }
+    results
+}
+
+fn wire(v: Variant) -> String {
+    v.label().replace(' ', "-")
+}
+
+fn precision_wire(prec: Precision) -> &'static str {
+    if prec == Precision::F32 {
+        "single"
+    } else {
+        "double"
+    }
+}
+
+/// Served subset sweeps are byte-identical to `jsonl_row` over an
+/// offline `SuiteResults` holding exactly the requested cells — cold
+/// and warm, through `serve` and through a two-shard `route` — and a
+/// `GET /v1/cell` row is that formatter over the cell alone. Covers
+/// duplicated cells, a Serial baseline for one precision only, skip
+/// rows, and a fault seed that fails a Serial cell (its siblings'
+/// ratios turn null).
+#[test]
+fn subset_sweeps_match_offline_rows_byte_for_byte() {
+    const SEED: u64 = 11;
+    let names: Vec<String> = test_suite().iter().map(|b| b.name().to_string()).collect();
+    let idx = |name: &str| names.iter().position(|n| n == name).unwrap();
+    let mut memo = HashMap::new();
+    // Seed 11 fails 2dcon's single-precision Serial cell (an injected
+    // worker death); the request below must see that baseline fail.
+    let (dcon, red, vecop, amcd) = (idx("2dcon"), idx("red"), idx("vecop"), idx("amcd"));
+    let failed_serial = reference_entry(
+        &mut memo,
+        (dcon, Variant::Serial, Precision::F32),
+        Some(SEED),
+    );
+    assert!(
+        matches!(failed_serial, CellEntry::Failed(_)),
+        "seed {SEED} no longer fails 2dcon Serial single; pick another seed"
+    );
+
+    type Cells = Vec<(usize, Variant, Precision)>;
+    let mut cases: Vec<(Cells, Option<u64>)> = vec![
+        // The failed baseline: every sibling's ratios are null.
+        (
+            vec![
+                (dcon, Variant::OpenCl, Precision::F32),
+                (dcon, Variant::Serial, Precision::F32),
+                (dcon, Variant::OpenMp, Precision::F32),
+            ],
+            Some(SEED),
+        ),
+        // Serial requested for single precision only.
+        (
+            vec![
+                (vecop, Variant::OpenCl, Precision::F64),
+                (vecop, Variant::Serial, Precision::F32),
+                (vecop, Variant::OpenClOpt, Precision::F32),
+                (vecop, Variant::OpenMp, Precision::F64),
+            ],
+            None,
+        ),
+        // A duplicated cell, and the amcd double-precision skip rows.
+        (
+            vec![
+                (red, Variant::OpenClOpt, Precision::F32),
+                (red, Variant::Serial, Precision::F32),
+                (red, Variant::OpenClOpt, Precision::F32),
+            ],
+            None,
+        ),
+        (
+            vec![
+                (amcd, Variant::OpenCl, Precision::F64),
+                (amcd, Variant::Serial, Precision::F64),
+                (amcd, Variant::OpenClOpt, Precision::F64),
+            ],
+            None,
+        ),
+    ];
+    // Seeded random subsets of 1-8 cells, half of them under the fault
+    // seed; small benches and versions pools make duplicates and
+    // Serial-less subsets common.
+    let mut rng = sim_rng::SplitMix64::new(0x5eed_0025);
+    let mut pick = |n: usize| (rng.next_u64() % n as u64) as usize;
+    for i in 0..16 {
+        let len = 1 + pick(8);
+        let cells: Cells = (0..len)
+            .map(|_| {
+                (
+                    [dcon, red, vecop][pick(3)],
+                    Variant::ALL[pick(4)],
+                    Precision::ALL[pick(2)],
+                )
+            })
+            .collect();
+        cases.push((cells, (i % 2 == 1).then_some(SEED)));
+    }
+
+    let srv = serve(1024, 256, None);
+    let shards = [serve(1024, 256, None), serve(1024, 256, None)];
+    let router = harness::route::start(harness::RouteConfig {
+        addr: "127.0.0.1:0".into(),
+        shards: shards.iter().map(|s| s.addr.to_string()).collect(),
+        replicas: 1,
+        retry_budget: 1,
+        breaker_threshold: 3,
+        fault_seed: None,
+        trace_dir: None,
+        trace_sample: 0,
+        slow_ms: None,
+        timeout_ms: None,
+        workers: sim_server::http::DEFAULT_WORKERS,
+        priority_cells: sim_server::http::DEFAULT_PRIORITY_CELLS,
+    })
+    .expect("router starts");
+    let fronts = [srv.addr.to_string(), router.addr.to_string()];
+
+    for (cells, seed) in &cases {
+        let results = reference_results(&mut memo, cells, *seed);
+        let mut expected = String::new();
+        for &(b, v, prec) in cells {
+            expected.push_str(&harness::jsonl_row(&results, &names[b], v, prec));
+            expected.push('\n');
+        }
+        let items: Vec<String> = cells
+            .iter()
+            .map(|&(b, v, prec)| {
+                format!(
+                    r#"{{"bench":"{}","version":"{}","precision":"{}"}}"#,
+                    names[b],
+                    wire(v),
+                    precision_wire(prec)
+                )
+            })
+            .collect();
+        let seed_field = seed.map_or(String::new(), |s| format!(r#","fault_seed":{s}"#));
+        let body = format!(
+            r#"{{"scale":"test"{seed_field},"cells":[{}]}}"#,
+            items.join(",")
+        );
+        // Twice per front: the second request is all cache hits.
+        for front in &fronts {
+            for pass in ["cold", "warm"] {
+                let (st, got) = sweep(front, &body);
+                assert_eq!(st, 200, "{front} {pass}: {got}");
+                assert_eq!(got, expected, "{front} {pass} sweep {body}");
+            }
+        }
+    }
+    // The failed-baseline case really renders null ratios.
+    let first = reference_results(&mut memo, &cases[0].0, cases[0].1);
+    let row = harness::jsonl_row(&first, "2dcon", Variant::OpenCl, Precision::F32);
+    assert!(row.contains(r#""speedup":null"#), "{row}");
+
+    // `GET /v1/cell`: the row over the cell alone — a Serial cell is its
+    // own baseline, any other cell has null ratios. Both cells are
+    // cached on `srv` and on their owning shard.
+    for (b, v, prec) in [
+        (vecop, Variant::Serial, Precision::F32),
+        (vecop, Variant::OpenClOpt, Precision::F32),
+    ] {
+        let spec = harness::cell_spec("test", None, None, &names[b], v, prec);
+        let alone = reference_results(&mut memo, &[(b, v, prec)], None);
+        let row = harness::jsonl_row(&alone, &names[b], v, prec);
+        let want = format!(
+            "{{\"key\":\"{}\",\"spec\":\"{}\",\"row\":{row}}}\n",
+            spec.key(),
+            sim_server::json::escape(&spec.canonical())
+        );
+        for front in &fronts {
+            let (st, got) =
+                request(front, "GET", &format!("/v1/cell/{}", spec.key()), b"", T).unwrap();
+            assert_eq!((st, String::from_utf8(got).unwrap()), (200, want.clone()));
+        }
+    }
+
+    router.shutdown().unwrap();
+    for s in shards {
+        s.shutdown().unwrap();
+    }
     srv.shutdown().unwrap();
 }
 
